@@ -19,6 +19,7 @@ data and kept inside the function's domain.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -91,10 +92,6 @@ class SliceContour:
 
     def encloses(self, z: complex) -> bool:
         return any(abs(complex(z) - c.center) < c.radius for c in self.circles)
-
-    def min_distance(self, z: complex) -> float:
-        return min(abs(abs(complex(z) - c.center) - c.radius)
-                   for c in self.circles)
 
 
 def _overlap(c1: Circle, c2: Circle) -> bool:
@@ -468,8 +465,6 @@ def _rand_quaternion(rng, scale=1.0) -> Quaternion:
 
 
 def _mono_name(side: str, q: Quaternion, n: int) -> str:
-    import json
-
     return f"mono{side}:" + json.dumps([[q.a, q.b, q.c, q.d], n])
 
 
@@ -567,8 +562,6 @@ def _suite_polynomial(A, tol, rng):
         B = QMatrix.zeros(A.n)
         for k, c in enumerate(coeffs):
             B = B + float(c) * A.power(k)
-        import json
-
         f = catalog("poly:" + json.dumps(coeffs))
         image = _image_sphere_set(spheres, restrict_to_slice(f),
                                   spheres.tol * 10)

@@ -18,6 +18,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .calculus import (
     QUAD_REL_TOL,
     SUITE_NAMES,
@@ -65,28 +67,28 @@ def parse_matrix_text(text: str) -> QMatrix:
     if len(entries) != n or any(len(row) != n for row in entries):
         shape = f"{len(entries)}x" + "/".join(str(len(r)) for r in entries)
         raise NonSquare(f"entry grid {shape} does not match n = {n}")
-    rows = []
     for row in entries:
-        quads = []
         for e in row:
             if not isinstance(e, list) or len(e) != 4:
                 raise ParseError("each entry must be a list [a, b, c, d]")
-            vals = []
             for v in e:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ParseError(f"entry component {v!r} is not a number")
-                fv = float(v)
-                if not math.isfinite(fv):
-                    raise NonFiniteEntry(f"entry component {v!r} is not finite")
-                vals.append(fv)
-            quads.append(Quaternion(*vals))
-        rows.append(quads)
-    return QMatrix.from_entries(rows)
+    try:
+        grid = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise NonFiniteEntry(
+            "entry component is an integer too large for a float") from exc
+    bad = np.argwhere(~np.isfinite(grid))
+    if len(bad):
+        r, c, k = bad[0]
+        raise NonFiniteEntry(
+            f"entry component {entries[r][c][k]!r} is not finite")
+    return QMatrix.from_components(*np.moveaxis(grid, -1, 0))
 
 
 def matrix_payload(M: QMatrix) -> dict:
-    entries = [[[q.a, q.b, q.c, q.d] for q in row] for row in M.entries()]
-    return {"n": M.n, "entries": entries}
+    return {"n": M.n, "entries": np.stack(M.components(), -1).tolist()}
 
 
 def _parse_at(text: str) -> Quaternion:

@@ -219,6 +219,15 @@ def test_exit_one_on_missing_file(capsys):
     assert "ParseError" in err
 
 
+def test_exit_one_on_integer_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "entries": [[[1' + "0" * 400 + ', 0, 0, 0]]]}')
+    code, env, err = run_cli(capsys, "spectrum", "--input", str(path))
+    assert code == 1
+    assert env is None
+    assert err.startswith("error[NonFiniteEntry]")
+
+
 def test_exit_one_on_bad_arguments(capsys):
     assert main(["spectrum"]) == 1
     capsys.readouterr()

@@ -10,6 +10,7 @@ from quatspec import (
     I,
     J,
     K,
+    NoConvergence,
     ONE,
     QMatrix,
     Quaternion,
@@ -66,17 +67,44 @@ def test_eigenvalues_companion():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _planted_jordan(gen, n: int, lam: complex) -> QMatrix:
+    """S J S^-1 with J an n x n Jordan block at lam in the complex slice."""
+    J_ = lam * np.eye(n) + np.eye(n, k=1)
+    Jq = QMatrix.from_components(J_.real, J_.imag, np.zeros((n, n)),
+                                 np.zeros((n, n)))
+    S = random_qmatrix(gen, n) + QMatrix.identity(n) * 3.0
+    return S @ Jq @ quaternion_matrix_inverse(S)
+
+
+def _assert_certified(M):
+    """Every returned eigenvalue meets the contract, checked by a full SVD."""
+    lam = eigenvalues(M, tol=1e-8)
+    assert len(lam) == M.shape[0]
+    scale = np.linalg.norm(M)
+    for lv in lam:
+        smin = np.linalg.svd(lv * np.eye(M.shape[0]) - M, compute_uv=False)[-1]
+        assert smin <= 1e-8 * scale, f"smin {smin:.3e} at {lv}"
+
+
 def test_eigenvalues_residual_contract():
     gen = rng(11)
     for _ in range(10):
         n = int(gen.integers(2, 7))
-        M = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-        lam = eigenvalues(M, tol=1e-8)
-        assert len(lam) == n
-        scale = np.linalg.norm(M)
-        for lv in lam:
-            smin = np.linalg.svd(lv * np.eye(n) - M, compute_uv=False)[-1]
-            assert smin <= 1e-8 * scale, f"residual {smin:.3e} at {lv}"
+        _assert_certified(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+
+
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, -0.7 + 0.0j])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_eigenvalues_certificate_on_jordan_blocks(size, lam):
+    gen = rng(17 * size)
+    for _ in range(3):
+        _assert_certified(complex_adjoint(_planted_jordan(gen, size, lam)))
+
+
+def test_eigenvalues_unreachable_tolerance_raises():
+    M = complex_adjoint(random_qmatrix(rng(19), 4))
+    with pytest.raises(NoConvergence):
+        eigenvalues(M, tol=1e-20)
 
 
 # ----------------------------------------------------------------- s_spectrum
@@ -241,6 +269,36 @@ def test_neumann_coefficients_are_real():
         for a in coeffs:
             assert max(abs(a.b), abs(a.c), abs(a.d)) < 1e-14 * (1 + abs(a))
         assert abs(coeffs[0].a - 1.0 / abs(q) ** 2) < 1e-12
+
+
+def _neumann_direct_sum(q: Quaternion, count: int) -> list[Quaternion]:
+    """a_n = sum_k q^(-k-1) conj(q)^(-n+k-1), summed term by term."""
+    qi, qbi = q.inverse(), q.conjugate().inverse()
+    pi, pb = [qi], [qbi]
+    for _ in range(count):
+        pi.append(pi[-1] * qi)
+        pb.append(pb[-1] * qbi)
+    out = []
+    for n in range(count):
+        acc = Quaternion()
+        for k in range(n + 1):
+            acc = acc + pi[k] * pb[n - k]
+        out.append(acc)
+    return out
+
+
+def test_neumann_recursion_matches_direct_sum():
+    gen = rng(59)
+    count = 400
+    for modulus in (0.98, 1.02):
+        q = random_unit_quaternion(gen) * modulus
+        got = neumann_coefficients(q, count)
+        want = _neumann_direct_sum(q, count)
+        for n, (a, b) in enumerate(zip(got, want)):
+            # (n + 1) |q|^(-n-2) bounds every a_n and scales its roundoff
+            scale = (n + 1) * abs(q) ** (-n - 2)
+            assert abs(a - b) <= 1e-9 * scale, f"a_{n}: {a} vs {b}"
+            assert max(abs(a.b), abs(a.c), abs(a.d)) <= 1e-12 * (1 + abs(a))
 
 
 # ---------------------------------------------------------------- s_resolvent

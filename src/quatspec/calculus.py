@@ -35,7 +35,13 @@ from .errors import (
     SingularNode,
     StructureViolation,
 )
-from .operators import QMatrix, complex_adjoint, from_complex_adjoint
+from .operators import (
+    QMatrix,
+    _embed,
+    _pull_back,
+    complex_adjoint,
+    from_complex_adjoint,
+)
 from .quaternion import I, J, K, ONE, Quaternion, Sphere
 from .slicefn import (
     CUT_BUFFER,
@@ -55,7 +61,6 @@ from .spectrum import (
     eigenvalues,
     s_resolvent,
     s_spectrum,
-    s_spectral_radius,
 )
 
 __all__ = [
@@ -224,24 +229,45 @@ def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
         "no contour margin separates the spectrum from the domain edge") from last
 
 
-# -- complex path ----------------------------------------------------------
+# -- quadrature -------------------------------------------------------------
 
-def _rd_circle(M: np.ndarray, h: Callable[[complex], complex],
-               circ: Circle, nodes: int) -> np.ndarray:
-    m = M.shape[0]
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    lam = circ.center + circ.radius * np.exp(1j * theta)
-    stack = lam[:, None, None] * np.eye(m) - M
-    rhs = np.broadcast_to(np.eye(m, dtype=complex), (nodes, m, m))
+def _trapezoid(contour: SliceContour, h: Callable[[complex], complex],
+               at_nodes: Callable[[np.ndarray], np.ndarray],
+               nodes: int) -> np.ndarray:
+    """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
+
+    at_nodes maps a node array to a stack of arrays, one per node.  The
+    convergence test is on the Frobenius norm of the whole sum.
+    """
+    prev = None
+    count = max(4, nodes)
+    while count <= NODE_CAP:
+        rot = np.exp(2j * np.pi * np.arange(count) / count)
+        total = 0.0
+        for circ in contour.circles:
+            z = circ.center + circ.radius * rot
+            fv = np.array([h(v) for v in z], dtype=complex)
+            weights = circ.radius * rot / count
+            total = total + np.einsum("k,k...->...", fv * weights, at_nodes(z))
+        if prev is not None:
+            delta = float(np.linalg.norm(total - prev))
+            if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
+                return total
+        prev = total
+        count *= 2
+    raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
+
+
+def _checked_solve(stack: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of every matrix in the stack; SingularNode names what failed."""
+    rhs = np.broadcast_to(np.eye(stack.shape[-1], dtype=complex), stack.shape)
     try:
-        res = np.linalg.solve(stack, rhs)
+        inv = np.linalg.solve(stack, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularNode("quadrature node hit an eigenvalue") from exc
-    if not np.isfinite(res).all() or np.abs(res).max() > 1e14:
-        raise SingularNode("resolvent blew up at a quadrature node")
-    fv = np.array([h(z) for z in lam], dtype=complex)
-    weights = circ.radius * np.exp(1j * theta) / nodes
-    return np.einsum("k,kij->ij", fv * weights, res)
+        raise SingularNode(f"{what} is singular at a quadrature node") from exc
+    if not np.isfinite(inv).all() or np.abs(inv).max() > 1e14:
+        raise SingularNode(f"{what} blew up at a quadrature node")
+    return inv
 
 
 def riesz_dunford(M: np.ndarray, h: Callable[[complex], complex],
@@ -253,89 +279,37 @@ def riesz_dunford(M: np.ndarray, h: Callable[[complex], complex],
     relative; the cap of 2^16 nodes raises QuadratureStalled.
     """
     M = np.asarray(M, dtype=complex)
-    prev = None
-    count = max(4, nodes)
-    while count <= NODE_CAP:
-        total = np.zeros(M.shape, dtype=complex)
-        for circ in contour.circles:
-            total = total + _rd_circle(M, h, circ, count)
-        if prev is not None:
-            delta = float(np.linalg.norm(total - prev))
-            if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
-                return total
-        prev = total
-        count *= 2
-    raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
+    eye = np.eye(M.shape[0])
+    return _trapezoid(
+        contour, h,
+        lambda z: _checked_solve(z[:, None, None] * eye - M, "the resolvent"),
+        nodes)
 
 
-# -- s-contour path --------------------------------------------------------
+def _s_contour_value(A: QMatrix, h: Callable[[complex], complex],
+                     contour: SliceContour, nodes: int = 32) -> QMatrix:
+    """(1/2pi) integral of S_L(s, A) ds_i h(s) over the contour.
 
-def _s_circle(A: QMatrix, h: Callable[[complex], complex],
-              circ: Circle, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    n = A.n
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    s = circ.center + circ.radius * np.exp(1j * theta)
+    S_L(s, A) = -Q_s(A)^-1 (A - conj(s) I), with the pencil inverted on
+    chi(Q_s(A)) and pulled back, its structure residual checked.
+    """
     sq = A.squared
-    eye = np.eye(n, dtype=complex)
-    # pencil Q_s(A) per node, assembled in components and embedded
-    px = sq.x[None, :, :] - 2.0 * s.real[:, None, None] * A.x \
-        + (np.abs(s) ** 2)[:, None, None] * eye
-    py = sq.y[None, :, :] - 2.0 * s.real[:, None, None] * A.y
-    chi = np.empty((nodes, 2 * n, 2 * n), dtype=complex)
-    chi[:, :n, :n] = px
-    chi[:, :n, n:] = -np.conj(py)
-    chi[:, n:, :n] = py
-    chi[:, n:, n:] = np.conj(px)
-    rhs = np.broadcast_to(np.eye(2 * n, dtype=complex), (nodes, 2 * n, 2 * n))
-    try:
-        inv = np.linalg.solve(chi, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNode("quadrature node hit the S-spectrum") from exc
-    if not np.isfinite(inv).all() or np.abs(inv).max() > 1e14:
-        raise SingularNode("pencil inverse blew up at a quadrature node")
-    # pull each inverse back through the block structure
-    qx = 0.5 * (inv[:, :n, :n] + np.conj(inv[:, n:, n:]))
-    qy = 0.5 * (inv[:, n:, :n] - np.conj(inv[:, :n, n:]))
-    rec_ul = qx
-    resid = np.sqrt(
-        np.sum(np.abs(inv[:, :n, :n] - rec_ul) ** 2, axis=(1, 2))
-        + np.sum(np.abs(inv[:, :n, n:] + np.conj(qy)) ** 2, axis=(1, 2))
-        + np.sum(np.abs(inv[:, n:, :n] - qy) ** 2, axis=(1, 2))
-        + np.sum(np.abs(inv[:, n:, n:] - np.conj(qx)) ** 2, axis=(1, 2)))
-    scale = 1.0 + np.sqrt(np.sum(np.abs(inv) ** 2, axis=(1, 2)))
-    if np.any(resid > 1e-8 * scale):
-        raise StructureViolation("pencil inverse lost its block structure")
-    # left S-resolvent  -Q^-1 (A - conj(s) I),  then  * ds_i * f(s)
-    bx = A.x[None, :, :] - np.conj(s)[:, None, None] * eye
-    by = np.broadcast_to(A.y, (nodes, n, n))
-    rx = -(qx @ bx - np.conj(qy) @ by)
-    ry = -(qy @ bx + np.conj(qx) @ by)
-    fv = np.array([h(z) for z in s], dtype=complex)
-    w = circ.radius * np.exp(1j * theta) / nodes * fv
-    out_x = np.einsum("k,kij->ij", w, rx)
-    out_y = np.einsum("k,kij->ij", w, ry)
-    return out_x, out_y
+    eye = np.eye(A.n)
 
+    def resolvents(s: np.ndarray) -> np.ndarray:
+        two_re = 2.0 * s.real[:, None, None]
+        px = sq.x - two_re * A.x + (np.abs(s) ** 2)[:, None, None] * eye
+        py = sq.y - two_re * A.y
+        inv = _checked_solve(_embed(px, py), "the pencil")
+        qx, qy, resid = _pull_back(inv)
+        if np.any(resid > 1e-8 * (1.0 + np.linalg.norm(inv, axis=(-2, -1)))):
+            raise StructureViolation("pencil inverse lost its block structure")
+        bx = A.x - np.conj(s)[:, None, None] * eye
+        return -np.stack([qx @ bx - np.conj(qy) @ A.y,
+                          qy @ bx + np.conj(qx) @ A.y], axis=1)
 
-def _s_contour_value(A: QMatrix, f: StemFunction, contour: SliceContour,
-                     nodes: int = 32) -> QMatrix:
-    h = restrict_to_slice(f)
-    prev = None
-    count = max(4, nodes)
-    while count <= NODE_CAP:
-        tx = np.zeros((A.n, A.n), dtype=complex)
-        ty = np.zeros((A.n, A.n), dtype=complex)
-        for circ in contour.circles:
-            cx, cy = _s_circle(A, h, circ, count)
-            tx = tx + cx
-            ty = ty + cy
-        total = QMatrix(tx, ty)
-        if prev is not None and \
-                total.distance(prev) <= QUAD_REL_TOL * (1.0 + total.norm):
-            return total
-        prev = total
-        count *= 2
-    raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
+    rx, ry = _trapezoid(contour, h, resolvents, nodes)
+    return QMatrix(rx, ry)
 
 
 # -- the calculus ----------------------------------------------------------
@@ -358,12 +332,12 @@ def calculus_intrinsic(A: QMatrix, f: StemFunction,
                 f"spectral sphere ({sph.re:.6g}, {sph.im_norm:.6g}) "
                 "lies outside the domain")
     contour = auto_contour(spheres, f.domain)
+    h = restrict_to_slice(f)
     if method == "complex_path":
-        B = riesz_dunford(complex_adjoint(A), restrict_to_slice(f),
-                          contour, nodes)
+        B = riesz_dunford(complex_adjoint(A), h, contour, nodes)
         return from_complex_adjoint(B, tol=1e-8)
     if method == "s_contour":
-        return _s_contour_value(A, f, contour, nodes)
+        return _s_contour_value(A, h, contour, nodes)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -125,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True,
                            help='matrix JSON file, or "-" for stdin')
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="working tolerance (default 1e-8)")
         return p
 
-    add("spectrum", "spectral spheres with multiplicities")
+    p = add("spectrum", "spectral spheres with multiplicities")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="sphere clustering radius (default 1e-8)")
 
     p = add("radius", "spectral radius")
     p.add_argument("--method", choices=("eig", "power"), default="eig")
@@ -163,16 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run an identity suite against the matrix")
     p.add_argument("--suite", required=True,
                    choices=SUITE_NAMES + ("all",))
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="largest discrepancy a suite passes with (default 1e-8)")
     return parser
 
 
 def _run(args, raw: bytes) -> tuple[dict, dict, int]:
     """Dispatch one parsed command; returns payload, tolerances, exit code."""
     A = parse_matrix_text(raw.decode("utf-8"))
-    tol = args.tol
     cmd = args.command
     if cmd == "spectrum":
-        spheres = s_spectrum(A, tol)
+        spheres = s_spectrum(A, args.tol)
         payload = {"spheres": [
             {"re": s.re, "im_norm": s.im_norm, "multiplicity": m}
             for s, m in spheres.spheres]}
@@ -212,7 +213,7 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
         return payload, {"cross_check": 1e-6}, 0
     if cmd == "verify":
         names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-        reports = [verify_theorems(A, name, tol) for name in names]
+        reports = [verify_theorems(A, name, args.tol) for name in names]
         payload = {"suites": [
             {"suite": r.suite, "passed": r.passed, "tol": r.tol,
              "cases": [{"label": label, "discrepancy": value}
@@ -220,7 +221,7 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
             for r in reports]}
         ok = all(r.passed for r in reports)
         payload["passed"] = ok
-        return payload, {"suite": tol}, 0 if ok else 3
+        return payload, {"suite": args.tol}, 0 if ok else 3
     raise ParseError(f"unknown command {cmd!r}")
 
 

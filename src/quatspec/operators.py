@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .quaternion import Quaternion
+from .quaternion import Quaternion, as_quaternion
 
 __all__ = [
     "QMatrix",
@@ -43,16 +43,6 @@ __all__ = [
     "vector_to_real_coords",
     "vector_from_real_coords",
 ]
-
-
-def _as_quaternion(v) -> Quaternion:
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v))
-    if isinstance(v, complex):
-        return Quaternion(v.real, v.imag)
-    raise TypeError(f"cannot interpret {v!r} as a quaternion")
 
 
 class QMatrix:
@@ -77,7 +67,7 @@ class QMatrix:
 
     @classmethod
     def from_entries(cls, rows) -> "QMatrix":
-        qs = [[_as_quaternion(v) for v in row] for row in rows]
+        qs = [[as_quaternion(v) for v in row] for row in rows]
         n = len(qs)
         if any(len(row) != n for row in qs):
             raise DimensionMismatch("entry rows must form a square matrix")
@@ -97,7 +87,7 @@ class QMatrix:
 
     @classmethod
     def diag(cls, values) -> "QMatrix":
-        qs = [_as_quaternion(v) for v in values]
+        qs = [as_quaternion(v) for v in values]
         x = np.diag([complex(q.a, q.b) for q in qs])
         y = np.diag([complex(q.c, -q.d) for q in qs])
         return cls(x, y)
@@ -173,7 +163,7 @@ class QMatrix:
 
     def scalar_left(self, q) -> "QMatrix":
         """Entrywise product q * entry."""
-        q = _as_quaternion(q)
+        q = as_quaternion(q)
         p1 = complex(q.a, q.b)
         p2 = complex(q.c, -q.d)
         return QMatrix(p1 * self.x - np.conj(p2) * self.y,
@@ -181,7 +171,7 @@ class QMatrix:
 
     def scalar_right(self, q) -> "QMatrix":
         """Entrywise product entry * q."""
-        q = _as_quaternion(q)
+        q = as_quaternion(q)
         p1 = complex(q.a, q.b)
         p2 = complex(q.c, -q.d)
         return QMatrix(self.x * p1 - np.conj(self.y) * p2,
@@ -223,7 +213,7 @@ class QMatrix:
 
 
 def _vector_split(xs, n):
-    qs = [_as_quaternion(v) for v in xs]
+    qs = [as_quaternion(v) for v in xs]
     if len(qs) != n:
         raise DimensionMismatch(f"vector length {len(qs)} vs matrix size {n}")
     v1 = np.array([complex(q.a, q.b) for q in qs])
@@ -253,7 +243,7 @@ def vector_from_slice_coords(v) -> list[Quaternion]:
 
 def vector_to_real_coords(xs) -> np.ndarray:
     """Length-4n real coordinates, grouped by component."""
-    qs = [_as_quaternion(v) for v in xs]
+    qs = [as_quaternion(v) for v in xs]
     return np.concatenate([
         [q.a for q in qs], [q.b for q in qs],
         [q.c for q in qs], [q.d for q in qs],
@@ -270,26 +260,46 @@ def vector_from_real_coords(v) -> list[Quaternion]:
 
 # -- complex adjoint -------------------------------------------------------
 
+def _embed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[[x, -conj(y)], [y, conj(x)]], over any leading stack axes."""
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = x
+    out[..., :n, n:] = -np.conj(y)
+    out[..., n:, :n] = y
+    out[..., n:, n:] = np.conj(x)
+    return out
+
+
 def complex_adjoint(A: QMatrix) -> np.ndarray:
     """2n x 2n complex matrix of A acting on slice coordinates."""
-    return np.block([[A.x, -np.conj(A.y)], [A.y, np.conj(A.x)]])
+    return _embed(A.x, A.y)
 
 
-def _adjoint_blocks(M: np.ndarray):
+def _pull_back(M: np.ndarray):
+    """x, y of the nearest complex adjoint and the Frobenius distance to it.
+
+    Works over leading stack axes.  The distance comes from the two
+    block defects, since ||M - embed(x, y)||^2 is half the sum of
+    ||m11 - conj(m22)||^2 and ||m21 + conj(m12)||^2.
+    """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
         raise DimensionMismatch("complex adjoint must be square of even size")
-    n = M.shape[0] // 2
-    return M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+    n = M.shape[-1] // 2
+    m11, m12 = M[..., :n, :n], M[..., :n, n:]
+    m21, m22 = M[..., n:, :n], M[..., n:, n:]
+    x = 0.5 * (m11 + np.conj(m22))
+    y = 0.5 * (m21 - np.conj(m12))
+    resid = np.sqrt(0.5) * np.hypot(
+        np.linalg.norm(m11 - np.conj(m22), axis=(-2, -1)),
+        np.linalg.norm(m21 + np.conj(m12), axis=(-2, -1)))
+    return x, y, resid
 
 
 def adjoint_structure_residual(M: np.ndarray) -> float:
     """Frobenius distance from M to the nearest complex adjoint."""
-    m11, m12, m21, m22 = _adjoint_blocks(M)
-    x = 0.5 * (m11 + np.conj(m22))
-    y = 0.5 * (m21 - np.conj(m12))
-    rec = np.block([[x, -np.conj(y)], [y, np.conj(x)]])
-    return float(np.linalg.norm(M - rec))
+    return float(_pull_back(M)[2])
 
 
 def from_complex_adjoint(M: np.ndarray, tol: float = 1e-9) -> QMatrix:
@@ -298,17 +308,12 @@ def from_complex_adjoint(M: np.ndarray, tol: float = 1e-9) -> QMatrix:
     Raises StructureViolation when the block structure residual exceeds
     tol * (1 + ||M||_F).
     """
-    m11, m12, m21, m22 = _adjoint_blocks(M)
-    x = 0.5 * (m11 + np.conj(m22))
-    y = 0.5 * (m21 - np.conj(m12))
-    A = QMatrix(x, y)
-    rec = np.block([[x, -np.conj(y)], [y, np.conj(x)]])
-    resid = float(np.linalg.norm(np.asarray(M, dtype=complex) - rec))
+    x, y, resid = _pull_back(M)
     scale = 1.0 + float(np.linalg.norm(M))
     if resid > tol * scale:
         raise StructureViolation(
             f"structure residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return A
+    return QMatrix(x, y)
 
 
 # -- real representation ---------------------------------------------------
@@ -326,7 +331,7 @@ def left_mult_rep(A: QMatrix) -> np.ndarray:
 
 def right_mult_rep(q, n: int) -> np.ndarray:
     """4n x 4n real matrix of x -> x q."""
-    q = _as_quaternion(q)
+    q = as_quaternion(q)
     r4 = np.array([
         [q.a, -q.b, -q.c, -q.d],
         [q.b, q.a, q.d, -q.c],
@@ -384,13 +389,13 @@ class OperatorExpr:
 
     def scalar_left(self, q) -> "OperatorExpr":
         """The operator x -> q * (T x)."""
-        q = _as_quaternion(q)
+        q = as_quaternion(q)
         lrep = left_mult_rep(QMatrix.scalar(self.n, q))
         return OperatorExpr(self.n, lrep @ self.mat)
 
     def scalar_right(self, q) -> "OperatorExpr":
         """The operator x -> T(q x)."""
-        q = _as_quaternion(q)
+        q = as_quaternion(q)
         lrep = left_mult_rep(QMatrix.scalar(self.n, q))
         return OperatorExpr(self.n, self.mat @ lrep)
 
@@ -412,7 +417,7 @@ def q_pencil(A: QMatrix, q) -> QMatrix:
     Depends on q only through Re(q) and |q|, hence is constant on the
     conjugation sphere of q.
     """
-    q = _as_quaternion(q)
+    q = as_quaternion(q)
     n = A.n
     out = A.squared - (2.0 * q.real) * A + q.norm_sq() * QMatrix.identity(n)
     return out

@@ -9,6 +9,7 @@ stand for points of that plane throughout the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ZeroDivisor
@@ -161,11 +162,20 @@ class Quaternion:
 def _coerce(v):
     if isinstance(v, Quaternion):
         return v
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v), 0.0, 0.0, 0.0)
-    if isinstance(v, complex):
+    # numbers.Complex admits numpy scalars; the builtins listed first
+    # skip its slower abstract-class check on the hot arithmetic path
+    if isinstance(v, (float, int, complex, numbers.Complex)):
+        v = complex(v)
         return Quaternion(v.real, v.imag, 0.0, 0.0)
     return NotImplemented
+
+
+def as_quaternion(v) -> Quaternion:
+    """v as a quaternion, real and complex numbers (numpy's too) included."""
+    q = _coerce(v)
+    if q is NotImplemented:
+        raise TypeError(f"cannot interpret {v!r} as a quaternion")
+    return q
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

@@ -12,6 +12,7 @@ membership test that never mentions eigenvalues.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .operators import (
     left_mult_rep,
     q_pencil,
 )
-from .quaternion import Quaternion, Sphere
+from .quaternion import Quaternion, Sphere, as_quaternion
 
 __all__ = [
     "eigenvalues",
@@ -115,26 +116,33 @@ class SphereSet:
     def match_distance(self, other: "SphereSet") -> float:
         """Smallest worst-case pairing distance between the two multisets.
 
-        Infinite when total multiplicities differ.  Sizes at hand are
-        tiny, so optimal matching by permutation search is fine; beyond
-        eight spheres a sorted greedy pairing is used instead.
+        Infinite when total multiplicities differ.  Exact bottleneck
+        matching: binary search over the sorted pair distances for the
+        least one under which augmenting paths pair every sphere.
         """
         left = self.expanded()
         right = other.expanded()
         if len(left) != len(right):
             return math.inf
-        key = lambda s: (s.re, s.im_norm)
-        left = sorted(left, key=key)
-        right = sorted(right, key=key)
-        if len(left) > 8:
-            return max(a.param_distance(b.re, b.im_norm)
-                       for a, b in zip(left, right))
-        best = math.inf
-        for perm in itertools.permutations(range(len(right))):
-            worst = max(left[i].param_distance(right[p].re, right[p].im_norm)
-                        for i, p in enumerate(perm))
-            best = min(best, worst)
-        return best
+        dist = [[a.param_distance(b.re, b.im_norm) for b in right] for a in left]
+
+        def pairs_all(limit: float) -> bool:
+            owner = [-1] * len(right)
+
+            def augment(i: int, seen: set) -> bool:
+                for j, d in enumerate(dist[i]):
+                    if d <= limit and j not in seen:
+                        seen.add(j)
+                        if owner[j] < 0 or augment(owner[j], seen):
+                            owner[j] = i
+                            return True
+                return False
+
+            return all(augment(i, set()) for i in range(len(left)))
+
+        # pairs_all is monotone in the limit; the largest distance passes
+        cands = sorted({d for row in dist for d in row})
+        return cands[bisect.bisect_left(cands, True, key=pairs_all)] if cands else 0.0
 
 
 def _cluster(points: list[tuple[float, float]], tol: float) -> list[list[int]]:
@@ -274,11 +282,12 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion, tol: float) -> QMatrix:
     raise NoConvergence("pencil series hit the term cap")
 
 
-def _chi_inverse(A: QMatrix, M: np.ndarray, rel_floor: float) -> np.ndarray:
+def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
+    """Pull-back of M^-1 for a complex adjoint M; Singular when smin(M) <= floor."""
     smin = np.linalg.svd(M, compute_uv=False)[-1]
-    if smin <= rel_floor:
-        raise Singular(f"pencil is singular here (smin = {smin:.3e})")
-    return np.linalg.inv(M)
+    if smin <= floor:
+        raise Singular(f"{what} is singular (smin = {smin:.3e})")
+    return from_complex_adjoint(np.linalg.inv(M), tol=1e-8)
 
 
 def q_pencil_inverse(A: QMatrix, q, method: str = "direct",
@@ -290,16 +299,13 @@ def q_pencil_inverse(A: QMatrix, q, method: str = "direct",
     a_n, valid for |q| beyond the spectral radius; tol is its truncation
     threshold.  Singularity of the pencil raises Singular.
     """
-    q = q if isinstance(q, Quaternion) else Quaternion.from_complex(q)
+    q = as_quaternion(q)
     if method == "neumann":
         return _neumann_pencil_inverse(A, q, tol)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    Qp = q_pencil(A, q)
-    M = complex_adjoint(Qp)
-    floor = CLASSIFY_REL_TOL * (1.0 + A.norm ** 2)
-    inv = _chi_inverse(A, M, floor)
-    return from_complex_adjoint(inv, tol=1e-8)
+    return _checked_inverse(complex_adjoint(q_pencil(A, q)),
+                            CLASSIFY_REL_TOL * (1.0 + A.norm ** 2), "pencil")
 
 
 def s_resolvent(A: QMatrix, s, side: str = "L", method: str = "formula",
@@ -311,7 +317,7 @@ def s_resolvent(A: QMatrix, s, side: str = "L", method: str = "formula",
     series:   L(s) = sum A^n s^(-n-1),  R(s) = sum s^(-n-1) A^n,
               valid for |s| > ||A||; tol is the truncation threshold.
     """
-    s = s if isinstance(s, Quaternion) else Quaternion.from_complex(s)
+    s = as_quaternion(s)
     if side not in ("L", "R"):
         raise ValueError(f"side must be L or R, not {side!r}")
     n = A.n
@@ -351,7 +357,7 @@ def classify(A: QMatrix, q) -> Classification:
     Q_q(A) is singular; numerically, when its smallest singular value
     drops below 1e-10 * (1 + ||A||^2).
     """
-    q = q if isinstance(q, Quaternion) else Quaternion.from_complex(q)
+    q = as_quaternion(q)
     rep = left_mult_rep(q_pencil(A, q))
     smin = float(np.linalg.svd(rep, compute_uv=False)[-1])
     threshold = CLASSIFY_REL_TOL * (1.0 + A.norm ** 2)
@@ -362,10 +368,8 @@ def classify(A: QMatrix, q) -> Classification:
 def quaternion_matrix_inverse(A: QMatrix) -> QMatrix:
     """Inverse of an invertible quaternion matrix via its complex adjoint."""
     M = complex_adjoint(A)
-    smin = np.linalg.svd(M, compute_uv=False)[-1]
-    if smin <= 1e-14 * (1.0 + float(np.linalg.norm(M))):
-        raise Singular(f"matrix is singular (smin = {smin:.3e})")
-    return from_complex_adjoint(np.linalg.inv(M), tol=1e-8)
+    return _checked_inverse(M, 1e-14 * (1.0 + float(np.linalg.norm(M))),
+                            "matrix")
 
 
 class DistanceResult(NamedTuple):

@@ -41,6 +41,8 @@ from quatspec import (
     verify_theorems,
 )
 
+from quatspec.calculus import _s_contour_value
+
 from _helpers import (
     assert_matrix_close,
     assert_quat_close,
@@ -139,19 +141,31 @@ def test_riesz_dunford_projector():
     assert np.max(np.abs(out - np.diag([1.0, 0.0]))) < 1e-10
 
 
-def test_riesz_dunford_singular_node():
-    M = np.diag([1.0 + 0j, 2.0 + 0j])
+# Both routes on a hand-built contour: riesz_dunford on chi(A), and the
+# s-contour sum of left S-resolvents on A itself.
+ROUTES = {
+    "complex_path": lambda A, h, contour: riesz_dunford(complex_adjoint(A),
+                                                        h, contour),
+    "s_contour": lambda A, h, contour: _s_contour_value(A, h, contour),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_riesz_dunford_singular_node(route):
+    # the node 1.5 - 0.5 of the first circle sits on the sphere of 1
+    A = QMatrix.diag([1.0, 2.0])
     contour = SliceContour((Circle(1.5 + 0j, 0.5), Circle(2.5 + 0j, 0.4)))
     with pytest.raises(SingularNode):
-        riesz_dunford(M, lambda z: z, contour)
+        ROUTES[route](A, lambda z: z, contour)
 
 
-def test_riesz_dunford_stalls_on_near_pole():
-    M = np.zeros((1, 1), dtype=complex)
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_riesz_dunford_stalls_on_near_pole(route):
+    A = QMatrix.zeros(1)
     contour = SliceContour((Circle(0j, 1.0),))
     pole = 1.0 + 1e-12
     with pytest.raises(QuadratureStalled):
-        riesz_dunford(M, lambda z: 1.0 / (z - pole), contour)
+        ROUTES[route](A, lambda z: 1.0 / (z - pole), contour)
 
 
 def test_riesz_dunford_node_count_independent():

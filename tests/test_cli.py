@@ -94,6 +94,27 @@ def test_spectrum_command(tmp_path, capsys):
     assert spheres[0]["multiplicity"] == 1
 
 
+def test_spectrum_tol_is_the_cluster_radius(tmp_path, capsys):
+    path = write_matrix(tmp_path, "near.json", QMatrix.diag([1.0, 1.0005]))
+    code, env, _ = run_cli(capsys, "spectrum", "--tol", "1e-3",
+                           "--input", path)
+    assert code == 0
+    assert env["tolerances"] == {"cluster": 0.001}
+    assert [s["multiplicity"] for s in env["payload"]["spheres"]] == [2]
+    code, env, _ = run_cli(capsys, "spectrum", "--input", path)
+    assert env["tolerances"] == {"cluster": 1e-8}
+    assert [s["multiplicity"] for s in env["payload"]["spheres"]] == [1, 1]
+
+
+def test_tol_rejected_where_unused(tmp_path, capsys):
+    path = write_matrix(tmp_path, "i.json", QMatrix.scalar(1, I))
+    code, env, err = run_cli(capsys, "resolvent", "--at", "0,0,2,0",
+                             "--tol", "1e-1", "--input", path)
+    assert code == 1
+    assert env is None
+    assert "--tol" in err
+
+
 def test_calculus_exp_of_zero(tmp_path, capsys):
     path = write_matrix(tmp_path, "zero.json", QMatrix.zeros(2))
     code, env, _ = run_cli(capsys, "calculus", "--fn", "exp",

@@ -21,6 +21,9 @@ from quatspec import (
 )
 from quatspec.errors import DimensionMismatch, StructureViolation
 from quatspec.operators import (
+    _embed,
+    _pull_back,
+    adjoint_structure_residual,
     vector_from_real_coords,
     vector_from_slice_coords,
     vector_to_real_coords,
@@ -157,11 +160,30 @@ def test_slice_and_real_coordinate_round_trips():
 def test_from_complex_adjoint():
     gen = rng(210)
     A = random_qmatrix(gen, 3)
-    assert from_complex_adjoint(complex_adjoint(A)) == A
+    assert from_complex_adjoint(complex_adjoint(A), tol=0.0) == A
     B = from_complex_adjoint(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert B == QMatrix.from_entries([[J]])
     with pytest.raises(StructureViolation):
         from_complex_adjoint(np.diag([1.0, 2.0]))
+
+
+def test_pull_back_residual_matches_reconstruction():
+    gen = rng(212)
+    n = 3
+    M = gen.normal(size=(5, 2 * n, 2 * n)) + 1j * gen.normal(size=(5, 2 * n, 2 * n))
+    M[0] = complex_adjoint(random_qmatrix(gen, n))
+    x, y, resid = _pull_back(M)
+    assert resid.shape == (5,)
+    for k in range(5):
+        # reference: rebuild the nearest adjoint and take the distance
+        rec = np.block([[x[k], -np.conj(y[k])], [y[k], np.conj(x[k])]])
+        want = np.linalg.norm(M[k] - rec)
+        assert abs(resid[k] - want) <= 1e-13 * (1.0 + want)
+        assert abs(adjoint_structure_residual(M[k]) - want) <= 1e-13 * (1.0 + want)
+    assert resid[0] == 0.0
+    assert np.array_equal(_embed(x, y)[0], M[0])
+    with pytest.raises(DimensionMismatch):
+        _pull_back(np.zeros((2, 3, 3)))
 
 
 def test_right_mult_rep_basis_example():

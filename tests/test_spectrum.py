@@ -1,5 +1,6 @@
 """Spectrum layer: eigensolver contract, S-spectrum, resolvents, distance."""
 
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,67 @@ def test_sphere_set_match_distance():
     assert abs(one.match_distance(shifted) - 1e-3) < 1e-12
     fewer = SphereSet(((Sphere(0.0, 1.0), 1),), 1e-8)
     assert one.match_distance(fewer) == math.inf
+
+
+def _brute_force_match_distance(left, right):
+    # reference: the best worst-case pairing over every permutation
+    a, b = left.expanded(), right.expanded()
+    return min(max(a[i].param_distance(b[p].re, b[p].im_norm)
+                   for i, p in enumerate(perm))
+               for perm in itertools.permutations(range(len(b))))
+
+
+def test_match_distance_is_optimal_beyond_eight_spheres():
+    # pairing in sorted order gives 10.008, matching (0, 0) with (0.4, 10)
+    left = [(0.0, 0.0), (0.5, 10.0)] + [(100.0 + k, 0.0) for k in range(7)]
+    right = [(0.6, 0.0), (0.4, 10.0)] + [(100.0 + k, 0.0) for k in range(7)]
+    one = SphereSet(tuple((Sphere(*p), 1) for p in left), 1e-8)
+    two = SphereSet(tuple((Sphere(*p), 1) for p in right), 1e-8)
+    assert one.match_distance(two) == pytest.approx(0.6, abs=1e-12)
+    assert two.match_distance(one) == pytest.approx(0.6, abs=1e-12)
+
+
+def test_match_distance_agrees_with_brute_force():
+    gen = rng(151)
+
+    def random_set(count):
+        # few distinct grid values, so ties and multiplicities occur
+        spheres = [(Sphere(float(gen.integers(-3, 4)) / 2,
+                           float(gen.integers(0, 4)) / 2), 1)
+                   for _ in range(count)]
+        return SphereSet(tuple(spheres), 1e-8)
+
+    for _ in range(60):
+        count = int(gen.integers(1, 7))
+        left, right = random_set(count), random_set(count)
+        assert left.match_distance(right) == \
+            _brute_force_match_distance(left, right)
+    multi = SphereSet(((Sphere(0.0, 1.0), 3),), 1e-8)
+    mixed = SphereSet(((Sphere(0.0, 1.0), 1), (Sphere(0.5, 1.0), 2)), 1e-8)
+    assert multi.match_distance(mixed) == \
+        _brute_force_match_distance(multi, mixed) == 0.5
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.float64(3.0), 3.0 + 0j],
+                         ids=["int64", "float64", "complex"])
+def test_numeric_scalars_coerce(value):
+    three = Quaternion(3.0)
+    assert QMatrix.diag([value, 1.0]) == QMatrix.diag([three, ONE])
+    eye = QMatrix.identity(2)
+    assert_matrix_close(q_pencil_inverse(eye, value),
+                        q_pencil_inverse(eye, three), 0.0)
+    assert classify(QMatrix.diag([value]), value).verdict == "point_spectrum"
+    assert classify(eye, value).verdict == "resolvent"
+
+
+def test_non_numeric_quaternion_raises_type_error():
+    eye = QMatrix.identity(2)
+    with pytest.raises(TypeError):
+        QMatrix.diag(["3", 1.0])
+    with pytest.raises(TypeError):
+        q_pencil_inverse(eye, "3")
+    with pytest.raises(TypeError):
+        classify(eye, "3")
 
 
 def test_sphere_set_contains():

@@ -2,9 +2,10 @@
 
 Matrices travel as JSON objects {"n": ..., "entries": [[[a, b, c, d],
 ...], ...]} whose entries form an n-by-n grid of four-component reals.
-Every command answers with a single JSON envelope on stdout carrying
-the command name, a sha256 digest of the raw input bytes, the payload,
-the tolerances that shaped the run, and wall-clock timing.  Exit codes:
+Every command answers with a single JSON envelope, written compactly
+on one line of stdout, carrying the command name, a sha256 digest of
+the raw input bytes, the payload, the tolerances that shaped the run,
+and wall-clock timing.  Exit codes:
 0 success, 1 usage problems, 2 domain violations, 3 numeric failures
 (a failed verify suite included).
 """
@@ -204,10 +205,14 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
         payload = {"matrix": matrix_payload(op_log(A))}
         return payload, {"quadrature": QUAD_REL_TOL}, 0
     if cmd == "root":
+        if args.n < 1:
+            raise ParseError(f"--n wants a positive root order, got {args.n}")
         payload = {"matrix": matrix_payload(op_nth_root(A, args.n)),
                    "order": args.n}
         return payload, {"quadrature": QUAD_REL_TOL}, 0
     if cmd == "distance":
+        if not math.isfinite(args.alpha):
+            raise NonFiniteEntry(f"--alpha must be finite, got {args.alpha}")
         geo, via = distance_to_spectrum(A, args.alpha)
         payload = {"alpha": args.alpha, "geometric": geo, "via_radius": via}
         return payload, {"cross_check": 1e-6}, 0
@@ -245,8 +250,7 @@ def main(argv=None) -> int:
         "tolerances": tolerances,
         "timing": {"seconds": time.perf_counter() - started},
     }
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(envelope) + "\n")
     return code
 
 

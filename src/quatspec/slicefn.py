@@ -1,7 +1,7 @@
 """Slice functions given by stems on the half plane.
 
-A slice function is determined by a pair of stems f0, f1 defined on
-parameters (alpha, beta) with beta >= 0, through
+A slice function is determined by its stem pair (f0, f1), one map of
+the parameters (alpha, beta) with beta >= 0, through
 
     left kind   f(q) = f0 + I_q * f1
     right kind  f(q) = f0 + f1 * I_q
@@ -93,15 +93,14 @@ def cut_plane_domain(box=(-6.0, 6.0, 6.0)) -> AxSymDomain:
 
 @dataclass(frozen=True)
 class StemFunction:
-    """Pair of stems plus a kind tag and a domain.
+    """Stem pair plus a kind tag and a domain.
 
-    f0 and f1 take (alpha, beta) with beta >= 0 and return quaternions.
-    kind "intrinsic" claims both stems are real-valued; validation can
-    check the claim, evaluation trusts it.
+    pair takes (alpha, beta) with beta >= 0 and returns the quaternion
+    stem values (f0, f1) together.  kind "intrinsic" claims both stems
+    are real-valued; validation can check the claim, evaluation trusts it.
     """
 
-    f0: Callable[[float, float], Quaternion]
-    f1: Callable[[float, float], Quaternion]
+    pair: Callable[[float, float], tuple[Quaternion, Quaternion]]
     domain: AxSymDomain
     kind: str
     label: str = ""
@@ -109,8 +108,9 @@ class StemFunction:
     def stems(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
         """Parity-extended stem values at any real beta."""
         if beta >= 0.0:
-            return self.f0(alpha, beta), self.f1(alpha, beta)
-        return self.f0(alpha, -beta), -self.f1(alpha, -beta)
+            return self.pair(alpha, beta)
+        v0, v1 = self.pair(alpha, -beta)
+        return v0, -v1
 
     def __call__(self, q: Quaternion) -> Quaternion:
         return eval_stem(self, q)
@@ -126,7 +126,7 @@ def eval_stem(f: StemFunction, q: Quaternion) -> Quaternion:
     beta = abs(q.imag)
     if not f.domain.contains(alpha, beta):
         raise OutOfDomain(f"point ({alpha:.6g}, {beta:.6g}) is outside the domain")
-    v0, v1 = f.f0(alpha, beta), f.f1(alpha, beta)
+    v0, v1 = f.pair(alpha, beta)
     if beta == 0.0:
         return v0
     iq = q.imag * (1.0 / beta)
@@ -160,15 +160,13 @@ def from_holomorphic_intrinsic(h: Callable[[complex], complex],
                 raise NotIntrinsic(
                     f"h(conj z) != conj h(z) at z = {z:.6g}")
 
-    def f0(a, b):
+    def pair(a, b):
         z = complex(a, b)
-        return Quaternion.from_complex(0.5 * (h(z) + h(z.conjugate())))
+        hz, hzc = h(z), h(z.conjugate())
+        return (Quaternion.from_complex(0.5 * (hz + hzc)),
+                Quaternion.from_complex((hz - hzc) / 2j))
 
-    def f1(a, b):
-        z = complex(a, b)
-        return Quaternion.from_complex((h(z) - h(z.conjugate())) / 2j)
-
-    return StemFunction(f0, f1, domain, INTRINSIC, label)
+    return StemFunction(pair, domain, INTRINSIC, label)
 
 
 def restrict_to_slice(f: StemFunction) -> Callable[[complex], complex]:
@@ -189,10 +187,6 @@ def restrict_to_slice(f: StemFunction) -> Callable[[complex], complex]:
     return h
 
 
-_BASIS = (Quaternion(1.0), Quaternion(0.0, 1.0),
-          Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0))
-
-
 def _component(q: Quaternion, m: int) -> float:
     return (q.a, q.b, q.c, q.d)[m]
 
@@ -208,13 +202,11 @@ def decompose(f: StemFunction) -> tuple[StemFunction, StemFunction,
     """
     pieces = []
     for m in range(4):
-        def f0m(a, b, _m=m):
-            return Quaternion(_component(f.f0(a, b), _m))
+        def pair_m(a, b, _m=m):
+            v0, v1 = f.pair(a, b)
+            return Quaternion(_component(v0, _m)), Quaternion(_component(v1, _m))
 
-        def f1m(a, b, _m=m):
-            return Quaternion(_component(f.f1(a, b), _m))
-
-        pieces.append(StemFunction(f0m, f1m, f.domain, INTRINSIC,
+        pieces.append(StemFunction(pair_m, f.domain, INTRINSIC,
                                    f"{f.label}[{m}]" if f.label else ""))
     return tuple(pieces)
 
@@ -223,11 +215,13 @@ def stem_sum(f: StemFunction, g: StemFunction) -> StemFunction:
     """Pointwise sum; kinds must agree up to intrinsic coercion."""
     kind = _join_kinds(f.kind, g.kind)
     dom = _intersect_domains(f.domain, g.domain)
-    return StemFunction(
-        lambda a, b: f.f0(a, b) + g.f0(a, b),
-        lambda a, b: f.f1(a, b) + g.f1(a, b),
-        dom, kind,
-        _join_labels(f.label, "+", g.label))
+
+    def pair(a, b):
+        f0, f1 = f.pair(a, b)
+        g0, g1 = g.pair(a, b)
+        return f0 + g0, f1 + g1
+
+    return StemFunction(pair, dom, kind, _join_labels(f.label, "+", g.label))
 
 
 def stem_product(f: StemFunction, g: StemFunction) -> StemFunction:
@@ -241,11 +235,13 @@ def stem_product(f: StemFunction, g: StemFunction) -> StemFunction:
         raise NotIntrinsic("slice products need one intrinsic factor")
     kind = g.kind if f.kind == INTRINSIC else f.kind
     dom = _intersect_domains(f.domain, g.domain)
-    return StemFunction(
-        lambda a, b: f.f0(a, b) * g.f0(a, b) - f.f1(a, b) * g.f1(a, b),
-        lambda a, b: f.f0(a, b) * g.f1(a, b) + f.f1(a, b) * g.f0(a, b),
-        dom, kind,
-        _join_labels(f.label, "*", g.label))
+
+    def pair(a, b):
+        f0, f1 = f.pair(a, b)
+        g0, g1 = g.pair(a, b)
+        return f0 * g0 - f1 * g1, f0 * g1 + f1 * g0
+
+    return StemFunction(pair, dom, kind, _join_labels(f.label, "*", g.label))
 
 
 def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
@@ -263,13 +259,8 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
         w = fs(complex(a, b))
         return w.real, w.imag
 
-    def h0(a, b):
-        u, v = inner(a, b)
-        return g.stems(u, v)[0]
-
-    def h1(a, b):
-        u, v = inner(a, b)
-        return g.stems(u, v)[1]
+    def pair(a, b):
+        return g.stems(*inner(a, b))
 
     def dom_ok(a, b):
         if not f.domain.contains(a, b):
@@ -279,8 +270,7 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
 
     dom = AxSymDomain(dom_ok, f.domain.box,
                       f"composition domain", f.domain.exclusions)
-    return StemFunction(h0, h1, dom, g.kind,
-                        _join_labels(g.label, "o", f.label))
+    return StemFunction(pair, dom, g.kind, _join_labels(g.label, "o", f.label))
 
 
 def _join_kinds(k1: str, k2: str) -> str:
@@ -350,10 +340,12 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
             stencil = ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))
             if not all(f.domain.contains(*p) for p in stencil):
                 continue
-            da_f0 = (f.stems(a + h, b)[0] - f.stems(a - h, b)[0]) / (2 * h)
-            db_f0 = (f.stems(a, b + h)[0] - f.stems(a, b - h)[0]) / (2 * h)
-            da_f1 = (f.stems(a + h, b)[1] - f.stems(a - h, b)[1]) / (2 * h)
-            db_f1 = (f.stems(a, b + h)[1] - f.stems(a, b - h)[1]) / (2 * h)
+            (ap0, ap1), (am0, am1) = f.stems(a + h, b), f.stems(a - h, b)
+            (bp0, bp1), (bm0, bm1) = f.stems(a, b + h), f.stems(a, b - h)
+            da_f0 = (ap0 - am0) / (2 * h)
+            db_f0 = (bp0 - bm0) / (2 * h)
+            da_f1 = (ap1 - am1) / (2 * h)
+            db_f1 = (bp1 - bm1) / (2 * h)
             r1 = da_f0 - db_f1
             r2 = db_f0 + da_f1
             cr = max(cr, abs(r1), abs(r2))
@@ -363,7 +355,7 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
     for ia in range(grid):
         a = amin + (ia + 0.5) * (amax - amin) / grid
         if f.domain.contains(a, 0.0):
-            compat = max(compat, abs(f.f1(a, 0.0)))
+            compat = max(compat, abs(f.pair(a, 0.0)[1]))
             samples += 1
 
     intrinsic = 0.0
@@ -374,7 +366,7 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
                 b = (ib + 0.5) * bmax / (grid // 2)
                 if not f.domain.contains(a, b):
                     continue
-                for v in f.f0(a, b), f.f1(a, b):
+                for v in f.pair(a, b):
                     intrinsic = max(intrinsic,
                                     math.hypot(v.b, v.c, v.d))
                 samples += 1
@@ -405,22 +397,15 @@ def _real_poly(coeffs):
     return h
 
 
-def _monomial_stems(a: Quaternion, n: int, coeff_side: str,
+def _monomial_stems(a: Quaternion, n: int, kind: str,
                     label: str) -> StemFunction:
-    # (alpha + beta i)^n = u + v i with real u, v shared by every slice
-    def parts(al, be):
+    # (alpha + beta i)^n = u + v i with real u, v shared by every slice;
+    # real u, v commute with a, so only the kind tells a q^n from q^n a
+    def pair(al, be):
         w = complex(al, be) ** n
-        return w.real, w.imag
+        return a * w.real, a * w.imag
 
-    if coeff_side == "left":
-        f0 = lambda al, be: a * parts(al, be)[0]
-        f1 = lambda al, be: a * parts(al, be)[1]
-        kind = RIGHT
-    else:
-        f0 = lambda al, be: parts(al, be)[0] * a
-        f1 = lambda al, be: parts(al, be)[1] * a
-        kind = LEFT
-    return StemFunction(f0, f1, entire_domain((-4.0, 4.0, 4.0)), kind, label)
+    return StemFunction(pair, entire_domain((-4.0, 4.0, 4.0)), kind, label)
 
 
 def _parse_json_fragment(text: str, what: str):
@@ -428,6 +413,13 @@ def _parse_json_fragment(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad {what} in catalog name: {text!r}") from exc
+
+
+def _is_real_list(x, length: int | None = None) -> bool:
+    """A non-empty JSON list of real numbers; true and false are not numbers."""
+    return (isinstance(x, list) and len(x) > 0 and length in (None, len(x))
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in x))
 
 
 def _pole_domain(den_coeffs) -> AxSymDomain:
@@ -473,8 +465,7 @@ def catalog(name: str) -> StemFunction:
         return from_holomorphic_intrinsic(lambda z: z ** n, dom, name)
     if name.startswith("poly:"):
         cs = _parse_json_fragment(name[5:], "coefficient list")
-        if not isinstance(cs, list) or not cs or \
-                not all(isinstance(c, (int, float)) for c in cs):
+        if not _is_real_list(cs):
             raise ParseError(f"poly wants a list of real numbers: {name!r}")
         return from_holomorphic_intrinsic(_real_poly(cs),
                                           entire_domain((-4.0, 4.0, 4.0)), name)
@@ -485,10 +476,8 @@ def catalog(name: str) -> StemFunction:
         p_text, q_text = body.split("/", 1)
         ps = _parse_json_fragment(p_text, "numerator")
         qs = _parse_json_fragment(q_text, "denominator")
-        for cs in (ps, qs):
-            if not isinstance(cs, list) or not cs or \
-                    not all(isinstance(c, (int, float)) for c in cs):
-                raise ParseError(f"ratpoly wants real coefficient lists: {name!r}")
+        if not (_is_real_list(ps) and _is_real_list(qs)):
+            raise ParseError(f"ratpoly wants real coefficient lists: {name!r}")
         if not any(c != 0 for c in qs):
             raise ParseError("ratpoly denominator is identically zero")
         hp, hq = _real_poly(ps), _real_poly(qs)
@@ -497,12 +486,11 @@ def catalog(name: str) -> StemFunction:
     if name.startswith(("monoL:", "monoR:")):
         desc = _parse_json_fragment(name[6:], "monomial descriptor")
         ok = (isinstance(desc, list) and len(desc) == 2
-              and isinstance(desc[0], list) and len(desc[0]) == 4
-              and all(isinstance(c, (int, float)) for c in desc[0])
-              and isinstance(desc[1], int) and desc[1] >= 0)
+              and _is_real_list(desc[0], 4)
+              and type(desc[1]) is int and desc[1] >= 0)
         if not ok:
             raise ParseError(f"monomial wants [[a,b,c,d], n>=0]: {name!r}")
         coeff = Quaternion(*[float(c) for c in desc[0]])
-        side = "left" if name.startswith("monoL:") else "right"
-        return _monomial_stems(coeff, desc[1], side, name)
+        kind = RIGHT if name.startswith("monoL:") else LEFT
+        return _monomial_stems(coeff, desc[1], kind, name)
     raise ParseError(f"unknown catalog name {name!r}")

@@ -231,6 +231,14 @@ def test_payload_determinism(tmp_path, capsys):
         assert env_one[key] == env_two[key], f"{key} not reproducible"
 
 
+def test_envelope_is_one_compact_line(tmp_path, capsys):
+    path = write_matrix(tmp_path, "i.json", QMatrix.scalar(2, I))
+    assert main(["exp", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_one_on_missing_file(capsys):
@@ -254,6 +262,21 @@ def test_exit_one_on_bad_arguments(capsys):
     capsys.readouterr()
     assert main(["unknowncmd", "--input", "x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("root", "--n", "0"), "ParseError"),
+    (("root", "--n", "-2"), "ParseError"),
+    (("distance", "--alpha", "nan"), "NonFiniteEntry"),
+    (("distance", "--alpha", "inf"), "NonFiniteEntry"),
+], ids=["root-n-0", "root-n-minus-2", "alpha-nan", "alpha-inf"])
+def test_exit_one_on_bad_argument_values(tmp_path, capsys, argv, error):
+    path = write_matrix(tmp_path, "two.json",
+                        QMatrix.from_entries([[Quaternion(2.0)]]))
+    code, env, err = run_cli(capsys, *argv, "--input", path)
+    assert code == 1
+    assert env is None
+    assert err.startswith(f"error[{error}]")
 
 
 def test_help_exits_zero(capsys):

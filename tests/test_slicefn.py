@@ -180,8 +180,7 @@ def test_validate_catalog_functions_pass(name, fd_step):
 
 def test_validate_flags_non_holomorphic_stems():
     bad = StemFunction(
-        f0=lambda al, be: Quaternion(al * al),
-        f1=lambda al, be: Quaternion(0.0),
+        pair=lambda al, be: (Quaternion(al * al), Quaternion(0.0)),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="alpha^2 stem",
@@ -193,8 +192,7 @@ def test_validate_flags_non_holomorphic_stems():
 
 def test_validate_flags_compatibility_breakage():
     bad = StemFunction(
-        f0=lambda al, be: Quaternion(al),
-        f1=lambda al, be: Quaternion(1.0),
+        pair=lambda al, be: (Quaternion(al), Quaternion(1.0)),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="constant f1",
@@ -206,8 +204,7 @@ def test_validate_flags_compatibility_breakage():
 
 def test_validate_flags_quaternion_valued_intrinsic_claim():
     bad = StemFunction(
-        f0=lambda al, be: Quaternion(al, 0.5, 0.0, 0.0),
-        f1=lambda al, be: Quaternion(be),
+        pair=lambda al, be: (Quaternion(al, 0.5, 0.0, 0.0), Quaternion(be)),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="imaginary f0",
@@ -310,8 +307,11 @@ def test_catalog_sqrt_square_round_trip():
 
 
 def test_catalog_rejects_malformed_names():
+    # json loads true/false as Python bools, which are ints
     for bad in ("nope", "poly:", "poly:[1", "pow:x", "monoL:[1,2]",
-                "ratpoly:[1]", "poly:[1, \"a\"]"):
+                "ratpoly:[1]", "poly:[1, \"a\"]", "poly:[true, 1]",
+                "ratpoly:[1, false]/[1]", "ratpoly:[1]/[true]",
+                "monoL:[[1, 0, 0, 0], true]", "monoR:[[1, 0, false, 0], 2]"):
         with pytest.raises(ParseError):
             catalog(bad)
 
@@ -330,3 +330,75 @@ def test_domain_membership_is_even_in_beta():
         dom = catalog(name).domain
         for al, be in ((1.0, 0.5), (-2.0, 0.3), (0.7, 2.0)):
             assert dom.contains(al, be) == dom.contains(al, -be)
+
+
+# -- one stem-pair call per point -----------------------------------------
+
+class _CountedPair:
+    """Stem-pair callable that counts how often it is read."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.pair(a, b)
+
+
+def _counted(name):
+    f = catalog(name)
+    counter = _CountedPair(f.pair)
+    return StemFunction(counter, f.domain, f.kind, f.label), counter
+
+
+def test_from_holomorphic_intrinsic_reads_h_twice_per_point():
+    calls = []
+
+    def h(z):
+        calls.append(z)
+        return cmath.exp(z)
+
+    f = from_holomorphic_intrinsic(h, entire_domain())
+    calls.clear()
+    f.pair(0.3, 0.7)
+    assert calls == [complex(0.3, 0.7), complex(0.3, -0.7)]
+    calls.clear()
+    eval_stem(f, Quaternion(0.3, 0.0, 0.7, 0.0))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("combine", [stem_sum, stem_product],
+                         ids=["sum", "product"])
+def test_binary_combinators_read_each_pair_once(combine):
+    f, fc = _counted("exp")
+    g, gc = _counted("monoR:[[0.5, -1, 2, 0.25], 2]")
+    h = combine(f, g)
+    eval_stem(h, Quaternion(0.3, 0.4, -0.2, 0.5))
+    assert (fc.calls, gc.calls) == (1, 1)
+    h.pair(0.3, 0.7)
+    assert (fc.calls, gc.calls) == (2, 2)
+
+
+def test_stem_compose_reads_each_pair_once():
+    f, fc = _counted("poly:[0.5, 1, 0.25]")
+    g, gc = _counted("monoL:[[0.5, -1, 2, 0.25], 2]")
+    h = stem_compose(g, f)
+    h.pair(0.3, 0.7)
+    assert (fc.calls, gc.calls) == (1, 1)
+
+
+def test_decompose_pieces_read_the_pair_once():
+    f, fc = _counted("monoL:[[0.5, -1, 2, 0.25], 3]")
+    for m, piece in enumerate(decompose(f)):
+        piece.pair(0.3, 0.7)
+        assert fc.calls == m + 1
+
+
+def test_validate_reads_the_pair_once_per_sample():
+    f, fc = _counted("exp")
+    grid = 4
+    validate(f, grid=grid)
+    # four stencil neighbours per CR sample, one read per compatibility
+    # and per intrinsic sample; the entire domain keeps every sample
+    assert fc.calls == 4 * grid * grid + grid + (grid // 2) ** 2

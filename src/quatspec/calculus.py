@@ -1,10 +1,13 @@
 """Slice functional calculus through contour integrals.
 
-Two independent routes compute f(A) for intrinsic f.  The complex path
-restricts f to the distinguished slice plane and runs the classical
-holomorphic calculus on the complex adjoint chi(A), pulling the result
-back through the block structure.  The s-contour path integrates the
-left S-resolvent of A itself against f along the same contour,
+Two independent routes compute f(A) in one pass per call, for slice
+functions of every kind: one spectrum, one contour and one quadrature,
+whose solves a one-sided f = sum e_m f_m weighs with the slice values of
+its four intrinsic pieces at once.  The complex path restricts f to the
+distinguished slice plane and runs the classical holomorphic calculus
+on the complex adjoint chi(A), pulling the result back through the
+block structure.  The s-contour path integrates the left S-resolvent of
+A itself against f along the same contour,
 
     f(A) = (1/2pi) sum over nodes  S_L(s, A) * ds_i * f(s),
 
@@ -49,8 +52,8 @@ from .slicefn import (
     RIGHT,
     AxSymDomain,
     StemFunction,
+    _slice_values,
     catalog,
-    decompose,
     restrict_to_slice,
     stem_compose,
     stem_product,
@@ -231,12 +234,12 @@ def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
 
 # -- quadrature -------------------------------------------------------------
 
-def _trapezoid(contour: SliceContour, h: Callable[[complex], complex],
-               at_nodes: Callable[[np.ndarray], np.ndarray],
-               nodes: int) -> np.ndarray:
+def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
+               nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
-    at_nodes maps a node array to a stack of arrays, one per node.  The
+    at_nodes maps a node array to a stack of arrays, one per node.  A
+    sequence-valued h adds one leading axis, one entry per value.  The
     convergence test is on the Frobenius norm of the whole sum.
     """
     prev = None
@@ -248,7 +251,7 @@ def _trapezoid(contour: SliceContour, h: Callable[[complex], complex],
             z = circ.center + circ.radius * rot
             fv = np.array([h(v) for v in z], dtype=complex)
             weights = circ.radius * rot / count
-            total = total + np.einsum("k,k...->...", fv * weights, at_nodes(z))
+            total = total + np.tensordot(fv.T * weights, at_nodes(z), 1)
         if prev is not None:
             delta = float(np.linalg.norm(total - prev))
             if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
@@ -270,13 +273,14 @@ def _checked_solve(stack: np.ndarray, what: str) -> np.ndarray:
     return inv
 
 
-def riesz_dunford(M: np.ndarray, h: Callable[[complex], complex],
-                  contour: SliceContour, nodes: int = 32) -> np.ndarray:
+def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
+                  nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) (z I - M)^-1 dz over the contour.
 
     Periodic trapezoid sums per circle, all circles at a shared node
     count that doubles until two successive totals agree to 1e-10
-    relative; the cap of 2^16 nodes raises QuadratureStalled.
+    relative; the cap of 2^16 nodes raises QuadratureStalled.  h may
+    return p values per node for a stack of p matrices.
     """
     M = np.asarray(M, dtype=complex)
     eye = np.eye(M.shape[0])
@@ -286,9 +290,8 @@ def riesz_dunford(M: np.ndarray, h: Callable[[complex], complex],
         nodes)
 
 
-def _s_contour_value(A: QMatrix, h: Callable[[complex], complex],
-                     contour: SliceContour, nodes: int = 32) -> QMatrix:
-    """(1/2pi) integral of S_L(s, A) ds_i h(s) over the contour.
+def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMatrix]:
+    """One (1/2pi) integral of S_L(s, A) ds_i h_m(s) per value h_m of h.
 
     S_L(s, A) = -Q_s(A)^-1 (A - conj(s) I), with the pencil inverted on
     chi(Q_s(A)) and pulled back, its structure residual checked.
@@ -308,23 +311,30 @@ def _s_contour_value(A: QMatrix, h: Callable[[complex], complex],
         return -np.stack([qx @ bx - np.conj(qy) @ A.y,
                           qy @ bx + np.conj(qx) @ A.y], axis=1)
 
-    rx, ry = _trapezoid(contour, h, resolvents, nodes)
-    return QMatrix(rx, ry)
+    return [QMatrix(rx, ry) for rx, ry in _trapezoid(contour, h, resolvents)]
 
 
 # -- the calculus ----------------------------------------------------------
 
 def calculus_intrinsic(A: QMatrix, f: StemFunction,
-                       method: str = "complex_path", nodes: int = 32) -> QMatrix:
-    """f(A) for intrinsic f, by either route.
-
-    complex_path runs the holomorphic calculus on chi(A) and pulls back;
-    a pull-back failure (StructureViolation) signals either a
-    non-intrinsic f or broken quadrature.  s_contour integrates the left
-    S-resolvent of A directly.  Both use the same automatic contour.
-    """
+                       method: str = "complex_path") -> QMatrix:
+    """f(A) for intrinsic f, by either route; see calculus_sided."""
     if f.kind != INTRINSIC:
-        raise NotIntrinsic(f"calculus over {f.kind!r} functions needs decompose")
+        raise NotIntrinsic(f"f is {f.kind!r}, not intrinsic: use calculus_sided")
+    return calculus_sided(A, f, method=method)
+
+
+def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
+                   method: str = "complex_path") -> QMatrix:
+    """f(A) for f of any kind, in one quadrature pass over all pieces.
+
+    complex_path runs the holomorphic calculus on chi(A) and pulls back
+    (StructureViolation signals broken quadrature); s_contour integrates
+    the left S-resolvent of A.  The pieces recombine with 1, i, j, k: on
+    the left for a right function, else on the right.
+    """
+    if f.kind != INTRINSIC and kind is not None and kind != f.kind:
+        raise ValueError(f"requested kind {kind!r} but f is {f.kind!r}")
     spheres = s_spectrum(A)
     for sph, _ in spheres.spheres:
         if not f.domain.contains(sph.re, sph.im_norm):
@@ -332,35 +342,16 @@ def calculus_intrinsic(A: QMatrix, f: StemFunction,
                 f"spectral sphere ({sph.re:.6g}, {sph.im_norm:.6g}) "
                 "lies outside the domain")
     contour = auto_contour(spheres, f.domain)
-    h = restrict_to_slice(f)
+    h = _slice_values(f)
     if method == "complex_path":
-        B = riesz_dunford(complex_adjoint(A), h, contour, nodes)
-        return from_complex_adjoint(B, tol=1e-8)
-    if method == "s_contour":
-        return _s_contour_value(A, h, contour, nodes)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
-                   method: str = "complex_path", nodes: int = 32) -> QMatrix:
-    """f(A) for one-sided f via the four-piece intrinsic decomposition.
-
-    A right function recombines with 1, i, j, k on the left, a left
-    function on the right.  Intrinsic input short-circuits to
-    calculus_intrinsic, where both recombinations coincide.
-    """
-    if f.kind == INTRINSIC:
-        return calculus_intrinsic(A, f, method, nodes)
-    if kind is not None and kind != f.kind:
-        raise ValueError(f"requested kind {kind!r} but f is {f.kind!r}")
-    pieces = decompose(f)
-    units = (ONE, I, J, K)
-    total = QMatrix.zeros(A.n)
-    for unit, piece in zip(units, pieces):
-        val = calculus_intrinsic(A, piece, method, nodes)
-        total = total + (val.scalar_left(unit) if f.kind == RIGHT
-                         else val.scalar_right(unit))
-    return total
+        stack = riesz_dunford(complex_adjoint(A), h, contour)
+        parts = [from_complex_adjoint(B, tol=1e-8) for B in stack]
+    elif method == "s_contour":
+        parts = _s_contour_value(A, h, contour)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    side = QMatrix.scalar_left if f.kind == RIGHT else QMatrix.scalar_right
+    return sum(map(side, parts, (ONE, I, J, K)), QMatrix.zeros(A.n))
 
 
 def op_exp(A: QMatrix) -> QMatrix:
@@ -446,21 +437,21 @@ def _rel(diff: float, ref: float) -> float:
     return diff / (1.0 + ref)
 
 
-def _image_sphere_set(spheres: SphereSet, h, tol: float) -> SphereSet:
-    pts = []
-    for sph, m in spheres.spheres:
-        w = h(sph.representative)
-        pts.append((Sphere(w.real, abs(w.imag)), m))
+def _mapping_gap(spheres: SphereSet, f: StemFunction, B: QMatrix) -> float:
+    """Distance from the spectrum of B = f(A) to f's image of A's spheres."""
+    h, tol = restrict_to_slice(f), spheres.tol * 10
     # images of distinct spheres may collide; merge within tolerance
     merged: list[tuple[Sphere, int]] = []
-    for sph, m in pts:
+    for sph, m in spheres.spheres:
+        w = h(sph.representative)
         for i, (other, om) in enumerate(merged):
-            if other.param_distance(sph.re, sph.im_norm) <= tol:
+            if other.param_distance(w.real, w.imag) <= tol:
                 merged[i] = (other, om + m)
                 break
         else:
-            merged.append((sph, m))
-    return SphereSet(tuple(merged), tol)
+            merged.append((Sphere(w.real, abs(w.imag)), m))
+    image = SphereSet(tuple(merged), tol)
+    return s_spectrum(B).match_distance(image) / (1.0 + image.max_abs())
 
 
 def _suite_product(A, tol, rng):
@@ -502,12 +493,7 @@ def _suite_mapping(A, tol, rng):
             if not ok:
                 continue
         B = calculus_intrinsic(A, f)
-        image = _image_sphere_set(spheres, restrict_to_slice(f),
-                                  spheres.tol * 10)
-        got = s_spectrum(B)
-        scale = 1.0 + image.max_abs()
-        cases.append((f"spectrum of {name}",
-                      got.match_distance(image) / scale))
+        cases.append((f"spectrum of {name}", _mapping_gap(spheres, f, B)))
     return cases
 
 
@@ -537,12 +523,7 @@ def _suite_polynomial(A, tol, rng):
         for k, c in enumerate(coeffs):
             B = B + float(c) * A.power(k)
         f = catalog("poly:" + json.dumps(coeffs))
-        image = _image_sphere_set(spheres, restrict_to_slice(f),
-                                  spheres.tol * 10)
-        got = s_spectrum(B)
-        scale = 1.0 + image.max_abs()
-        cases.append((f"real polynomial {trial}",
-                      got.match_distance(image) / scale))
+        cases.append((f"real polynomial {trial}", _mapping_gap(spheres, f, B)))
     # a left coefficient i breaks the mapping: i q at q = 1 has value i,
     # yet the spectrum of i I is the whole unit sphere (0, 1)
     M = QMatrix.scalar(A.n, I)

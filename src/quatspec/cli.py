@@ -211,8 +211,6 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
                    "order": args.n}
         return payload, {"quadrature": QUAD_REL_TOL}, 0
     if cmd == "distance":
-        if not math.isfinite(args.alpha):
-            raise NonFiniteEntry(f"--alpha must be finite, got {args.alpha}")
         geo, via = distance_to_spectrum(A, args.alpha)
         payload = {"alpha": args.alpha, "geometric": geo, "via_radius": via}
         return payload, {"cross_check": 1e-6}, 0

@@ -99,7 +99,7 @@ class NonSquare(UsageError):
 
 
 class NonFiniteEntry(UsageError):
-    """Matrix input contains a NaN or infinity."""
+    """A matrix entry or a numeric argument is NaN or infinite."""
 
 
 class NoConvergence(NumericError):

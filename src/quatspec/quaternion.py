@@ -62,9 +62,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return math.hypot(self.a, self.b, self.c, self.d)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return abs(self.imag) <= tol * (1.0 + abs(self))
-
     def to_complex(self, tol: float = 1e-12) -> complex:
         """Value as a point of the distinguished slice.
 

@@ -16,8 +16,10 @@ commutes with conjugation of the argument.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -176,19 +178,35 @@ def restrict_to_slice(f: StemFunction) -> Callable[[complex], complex]:
     """
     if f.kind != INTRINSIC:
         raise NotIntrinsic(f"kind {f.kind!r} has no canonical slice restriction")
-
-    def h(z: complex) -> complex:
-        q = eval_stem(f, Quaternion.from_complex(complex(z)))
-        try:
-            return q.to_complex(tol=1e-9)
-        except ValueError as exc:
-            raise NotIntrinsic(str(exc)) from exc
-
-    return h
+    values = _slice_values(f)
+    return lambda z: values(z)[0]
 
 
-def _component(q: Quaternion, m: int) -> float:
-    return (q.a, q.b, q.c, q.d)[m]
+def _slice_values(f: StemFunction) -> Callable[[complex], tuple[complex, ...]]:
+    """Slice values f0[m] + i f1[m] of f's pieces, one stem read per point.
+
+    Four pieces, those of decompose, for one-sided f; one for intrinsic f,
+    whose stems must be real to 1e-9 (1 + |f0| + |f1|).  f1 is 0 at real z.
+    """
+    def values(z: complex) -> tuple[complex, ...]:
+        alpha, beta = z.real, z.imag
+        if not f.domain.contains(alpha, beta):
+            raise OutOfDomain(
+                f"point ({alpha:.6g}, {abs(beta):.6g}) is outside the domain")
+        v0, v1 = f.stems(alpha, beta)
+        if beta == 0.0:
+            v1 = Quaternion()
+        parts = tuple(map(complex, _parts(v0), _parts(v1)))
+        if f.kind != INTRINSIC:
+            return parts
+        if math.hypot(*map(abs, parts[1:])) > 1e-9 * (1.0 + abs(v0) + abs(v1)):
+            raise NotIntrinsic(f"stems at {complex(z):.6g} are not real")
+        return parts[:1]
+
+    return values
+
+
+_parts = operator.attrgetter("a", "b", "c", "d")
 
 
 def decompose(f: StemFunction) -> tuple[StemFunction, StemFunction,
@@ -204,7 +222,7 @@ def decompose(f: StemFunction) -> tuple[StemFunction, StemFunction,
     for m in range(4):
         def pair_m(a, b, _m=m):
             v0, v1 = f.pair(a, b)
-            return Quaternion(_component(v0, _m)), Quaternion(_component(v1, _m))
+            return Quaternion(_parts(v0)[_m]), Quaternion(_parts(v1)[_m])
 
         pieces.append(StemFunction(pair_m, f.domain, INTRINSIC,
                                    f"{f.label}[{m}]" if f.label else ""))
@@ -255,6 +273,8 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
         raise NotIntrinsic("composition requires an intrinsic inner function")
     fs = restrict_to_slice(f)
 
+    # the domain test and then the stems read the same point
+    @functools.lru_cache(maxsize=1)
     def inner(a, b):
         w = fs(complex(a, b))
         return w.real, w.imag

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     AlphaInSpectrum,
     NoConvergence,
+    NonFiniteEntry,
     OddRealMultiplicity,
     SeriesDiverges,
     Singular,
@@ -382,9 +383,12 @@ def distance_to_spectrum(A: QMatrix, alpha: float) -> DistanceResult:
 
     Geometrically it is the least distance to any spectral sphere; it
     also equals 1 / r_S((alpha I - A)^-1).  Both values are returned and
-    cross-checked.  A spectral alpha raises AlphaInSpectrum.
+    cross-checked.  A spectral alpha raises AlphaInSpectrum, a NaN or an
+    infinity NonFiniteEntry.
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise NonFiniteEntry(f"alpha must be finite, got {alpha}")
     if classify(A, Quaternion(alpha)).verdict == "point_spectrum":
         raise AlphaInSpectrum(f"alpha = {alpha:.6g} lies on the S-spectrum")
     spheres = s_spectrum(A)

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import quatspec.calculus as qcalc
 from quatspec import (
     BranchCut,
     Circle,
@@ -14,6 +16,7 @@ from quatspec import (
     J,
     K,
     NotIntrinsic,
+    ONE,
     QMatrix,
     QuadratureStalled,
     Quaternion,
@@ -22,6 +25,7 @@ from quatspec import (
     SliceContour,
     Sphere,
     SphereSet,
+    StemFunction,
     StructureViolation,
     auto_contour,
     build_contour,
@@ -29,6 +33,7 @@ from quatspec import (
     calculus_sided,
     catalog,
     complex_adjoint,
+    decompose,
     entire_domain,
     from_complex_adjoint,
     op_exp,
@@ -38,10 +43,12 @@ from quatspec import (
     riesz_dunford,
     s_spectrum,
     sphere_of,
+    stem_sum,
     verify_theorems,
 )
 
 from quatspec.calculus import _s_contour_value
+from quatspec.slicefn import INTRINSIC, RIGHT
 
 from _helpers import (
     assert_matrix_close,
@@ -142,11 +149,13 @@ def test_riesz_dunford_projector():
 
 
 # Both routes on a hand-built contour: riesz_dunford on chi(A), and the
-# s-contour sum of left S-resolvents on A itself.
+# s-contour sum of left S-resolvents on A itself, which takes one
+# sequence of values per node.
 ROUTES = {
     "complex_path": lambda A, h, contour: riesz_dunford(complex_adjoint(A),
                                                         h, contour),
-    "s_contour": lambda A, h, contour: _s_contour_value(A, h, contour),
+    "s_contour": lambda A, h, contour: _s_contour_value(
+        A, lambda z: (h(z),), contour)[0],
 }
 
 
@@ -308,7 +317,6 @@ def test_sided_quaternion_coefficient_polynomial():
     a = Quaternion(0.3, -1.0, 0.5, 2.0)
     b = Quaternion(0.0, 0.0, 1.0, 0.0)
     c = Quaternion(-0.7, 0.2, 0.0, 0.4)
-    from quatspec import stem_sum
     f = stem_sum(
         stem_sum(catalog("monoL:[[0.3,-1,0.5,2],2]"),
                  catalog("monoL:[[0,0,1,0],1]")),
@@ -318,6 +326,93 @@ def test_sided_quaternion_coefficient_polynomial():
     out = calculus_sided(A, f)
     want = a * q * q + b * q + c
     assert_quat_close(out.entry(0, 0), want, 1e-8 * (1 + abs(want)))
+
+
+def _four_pass_sided(A, f, method):
+    """The four-pass definition: one intrinsic calculus per decompose piece."""
+    total = QMatrix.zeros(A.n)
+    for unit, piece in zip((ONE, I, J, K), decompose(f)):
+        val = calculus_intrinsic(A, piece, method)
+        total = total + (val.scalar_left(unit) if f.kind == RIGHT
+                         else val.scalar_right(unit))
+    return total
+
+
+SIDED_NAMES = {
+    "monoL": "monoL:[[0.5, -1, 2, 0.25], 3]",
+    "monoR": "monoR:[[-0.7, 0.2, 0, 0.4], 2]",
+}
+
+
+def _sided(name):
+    if name in SIDED_NAMES:
+        return catalog(SIDED_NAMES[name])
+    # a right polynomial with quaternion coefficients
+    return stem_sum(stem_sum(catalog("monoL:[[0.3, -1, 0.5, 2], 2]"),
+                             catalog("monoL:[[0, 0, 1, 0], 1]")),
+                    catalog("monoL:[[-0.7, 0.2, 0, 0.4], 0]"))
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("name", ["monoL", "monoR", "sum"])
+def test_sided_one_pass_matches_four_passes(name, method):
+    gen = rng(179)
+    f = _sided(name)
+    for n in (1, 2, 3):
+        A = random_qmatrix(gen, n, scale=0.7)
+        got = calculus_sided(A, f, method=method)
+        want = _four_pass_sided(A, f, method)
+        assert got.distance(want) <= 1e-10 * want.norm, name
+
+
+@pytest.mark.parametrize("name", ["monoL", "monoR", "sum"])
+def test_sided_routes_agree(name):
+    gen = rng(181)
+    f = _sided(name)
+    for n in (1, 2, 3):
+        A = random_qmatrix(gen, n, scale=0.7)
+        one = calculus_sided(A, f, method="complex_path")
+        two = calculus_sided(A, f, method="s_contour")
+        assert one.distance(two) <= 1e-8 * (1 + one.norm), name
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+def test_sided_call_makes_one_pass(monkeypatch, method):
+    calls = Counter()
+
+    def counted(name, fn, weight=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            calls[name] += weight(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qcalc, "s_spectrum", counted("spectrum", qcalc.s_spectrum))
+    monkeypatch.setattr(qcalc, "auto_contour",
+                        counted("contour", qcalc.auto_contour))
+    monkeypatch.setattr(qcalc, "_checked_solve",
+                        counted("nodes", qcalc._checked_solve,
+                                lambda stack, what: len(stack)))
+    f = catalog(SIDED_NAMES["monoL"])
+    f = StemFunction(counted("pair", f.pair), f.domain, f.kind, f.label)
+    calculus_sided(random_qmatrix(rng(191), 3, scale=0.7), f, method=method)
+    assert calls["spectrum"] == calls["contour"] == 1
+    assert calls["nodes"] > 0
+    assert calls["pair"] == calls["nodes"]
+
+
+def _j_valued_intrinsic_claim():
+    return StemFunction(
+        pair=lambda al, be: (Quaternion(al, 0.0, 0.5, 0.0), Quaternion(be)),
+        domain=entire_domain(), kind=INTRINSIC)
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+def test_calculus_rejects_non_real_intrinsic_stems(method):
+    A = random_qmatrix(rng(193), 2)
+    with pytest.raises(NotIntrinsic):
+        calculus_intrinsic(A, _j_valued_intrinsic_claim(), method)
+    with pytest.raises(NotIntrinsic):
+        calculus_sided(A, _j_valued_intrinsic_claim(), method=method)
 
 
 # ---------------------------------------------------------------- exp / log / root

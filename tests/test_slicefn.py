@@ -27,7 +27,7 @@ from quatspec import (
     validate,
 )
 from quatspec.errors import NotIntrinsic, OutOfDomain, ParseError
-from quatspec.slicefn import INTRINSIC, LEFT, RIGHT, AxSymDomain
+from quatspec.slicefn import INTRINSIC, LEFT, RIGHT, AxSymDomain, _slice_values
 
 from _helpers import assert_quat_close, random_quaternion, rng
 
@@ -386,6 +386,12 @@ def test_stem_compose_reads_each_pair_once():
     h = stem_compose(g, f)
     h.pair(0.3, 0.7)
     assert (fc.calls, gc.calls) == (1, 1)
+    # eval_stem tests the domain, which maps the point through f, then
+    # reads the stems at the same point
+    eval_stem(h, Quaternion(0.2, 0.4, -0.3, 0.5))
+    assert (fc.calls, gc.calls) == (2, 2)
+    _slice_values(h)(0.2 - 0.6j)
+    assert (fc.calls, gc.calls) == (3, 3)
 
 
 def test_decompose_pieces_read_the_pair_once():
@@ -402,3 +408,58 @@ def test_validate_reads_the_pair_once_per_sample():
     # four stencil neighbours per CR sample, one read per compatibility
     # and per intrinsic sample; the entire domain keeps every sample
     assert fc.calls == 4 * grid * grid + grid + (grid // 2) ** 2
+
+
+# -- slice values of the pieces -------------------------------------------
+
+CATALOG_NAMES = ("exp", "log", "sqrt", "pow:3", "pow:-2", "poly:[1, -2, 0, 1]",
+                 "ratpoly:[1, 0, 1]/[2, 1]", "monoL:[[0.5, -1, 2, 0.25], 3]",
+                 "monoR:[[-0.7, 0.2, 0, 0.4], 2]")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_slice_values_match_eval_stem(name):
+    f = catalog(name)
+    pieces = (f,) if f.kind == INTRINSIC else decompose(f)
+    values = _slice_values(f)
+    for z in (0.7 + 0.4j, 0.7 - 0.4j, 0.7 + 0j):
+        got = values(z)
+        assert len(got) == len(pieces)
+        q = Quaternion.from_complex(z)
+        for v, piece in zip(got, pieces):
+            want = eval_stem(piece, q)
+            assert_quat_close(Quaternion.from_complex(v), want,
+                              1e-14 * (1.0 + abs(want)))
+        # recombined with 1, i, j, k on the kind's side they give f itself
+        total = Quaternion()
+        for unit, v in zip((ONE, I, J, K), got):
+            p = Quaternion.from_complex(v)
+            total = total + (p * unit if f.kind == LEFT else unit * p)
+        want = eval_stem(f, q)
+        assert_quat_close(total, want, 1e-14 * (1.0 + abs(want)))
+
+
+def test_slice_values_drop_f1_at_real_points():
+    bad_f1 = StemFunction(pair=lambda al, be: (Quaternion(al), Quaternion(1.0)),
+                          domain=entire_domain(), kind=INTRINSIC)
+    assert _slice_values(bad_f1)(0.5 + 0j) == (0.5 + 0j,)
+    assert _slice_values(bad_f1)(0.5 - 0.25j) == (0.5 - 1j,)
+
+
+def test_slice_values_out_of_domain():
+    with pytest.raises(OutOfDomain):
+        _slice_values(catalog("log"))(-1.0 + 0j)
+    with pytest.raises(OutOfDomain):
+        restrict_to_slice(catalog("sqrt"))(-2.0 + 0j)
+
+
+@pytest.mark.parametrize("imag", [Quaternion(0.0, 0.0, 0.5, 0.0),
+                                  Quaternion(0.0, 0.5, 0.0, 0.0)],
+                         ids=["j", "i"])
+def test_restrict_to_slice_rejects_non_real_stems(imag):
+    # an intrinsic tag on stems with an imaginary component: both the j
+    # component and the i component break the claim
+    bad = StemFunction(pair=lambda al, be: (Quaternion(al) + imag, Quaternion(be)),
+                       domain=entire_domain(), kind=INTRINSIC)
+    with pytest.raises(NotIntrinsic):
+        restrict_to_slice(bad)(0.3 + 0.2j)

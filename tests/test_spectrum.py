@@ -12,6 +12,7 @@ from quatspec import (
     J,
     K,
     NoConvergence,
+    NonFiniteEntry,
     ONE,
     QMatrix,
     Quaternion,
@@ -551,6 +552,13 @@ def test_distance_two_sphere_example():
 def test_distance_alpha_on_spectrum():
     with pytest.raises(AlphaInSpectrum):
         distance_to_spectrum(QMatrix.identity(2), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_distance_rejects_non_finite_alpha(alpha):
+    with pytest.raises(NonFiniteEntry):
+        distance_to_spectrum(QMatrix.from_entries([[Quaternion(2.0)]]), alpha)
 
 
 def test_distance_routes_agree():

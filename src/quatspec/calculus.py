@@ -21,7 +21,6 @@ data and kept inside the function's domain.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .errors import (
     QuadratureStalled,
     SingularNode,
     StructureViolation,
+    UsageError,
 )
 from .operators import (
     QMatrix,
@@ -161,21 +161,16 @@ def _merge_upper(circles: list[Circle]) -> list[Circle]:
 
 
 def _disk_in_domain(center: complex, radius: float, domain: AxSymDomain) -> bool:
-    if not domain.contains(center.real, center.imag):
-        return False
-    for frac in (1.0, 0.85, 0.6, 0.35, 0.12):
-        for k in range(32):
-            z = center + radius * frac * cmath.exp(2j * math.pi * k / 32)
-            if not domain.contains(z.real, z.imag):
-                return False
+    fracs = radius * np.array([1.0, 0.85, 0.6, 0.35, 0.12])
+    rot = np.exp(2j * np.pi * np.arange(32) / 32)
+    z = np.append(center, center + fracs[:, None] * rot)
     # the chord on the real axis is the worst case for cut exclusions
     b = center.imag
     if abs(b) < radius:
         half = math.sqrt(radius * radius - b * b)
-        for t in range(17):
-            a = center.real - half + 2.0 * half * t / 16
-            if not domain.contains(a, 0.0):
-                return False
+        z = np.append(z, center.real - half + 2.0 * half * np.arange(17) / 16)
+    if not domain.contains(z.real, z.imag).all():
+        return False
     for (ea, eb), rad in domain.exclusions:
         for ebs in (eb, -eb):
             if abs(center - complex(ea, ebs)) < radius + rad:
@@ -238,9 +233,10 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
                nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
-    at_nodes maps a node array to a stack of arrays, one per node.  A
-    sequence-valued h adds one leading axis, one entry per value.  The
-    convergence test is on the Frobenius norm of the whole sum.
+    h and at_nodes map one circle's node array, once per circle and
+    level: at_nodes to a stack of arrays, one per node, and h to one
+    value per node or, with a leading axis of p, p values per node.
+    The convergence test is on the Frobenius norm of the whole sum.
     """
     prev = None
     count = max(4, nodes)
@@ -249,9 +245,8 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
         total = 0.0
         for circ in contour.circles:
             z = circ.center + circ.radius * rot
-            fv = np.array([h(v) for v in z], dtype=complex)
-            weights = circ.radius * rot / count
-            total = total + np.tensordot(fv.T * weights, at_nodes(z), 1)
+            fv = np.asarray(h(z)) * (circ.radius * rot / count)
+            total = total + np.tensordot(fv, at_nodes(z), 1)
         if prev is not None:
             delta = float(np.linalg.norm(total - prev))
             if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
@@ -279,8 +274,8 @@ def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
 
     Periodic trapezoid sums per circle, all circles at a shared node
     count that doubles until two successive totals agree to 1e-10
-    relative; the cap of 2^16 nodes raises QuadratureStalled.  h may
-    return p values per node for a stack of p matrices.
+    relative; the cap of 2^16 nodes raises QuadratureStalled.  h maps a
+    node array to its values, shape (p, nodes) for a stack of p matrices.
     """
     M = np.asarray(M, dtype=complex)
     eye = np.eye(M.shape[0])
@@ -398,7 +393,7 @@ def op_log(A: QMatrix) -> QMatrix:
 def op_nth_root(A: QMatrix, m: int) -> QMatrix:
     """Principal m-th root exp(log(A) / m)."""
     if not isinstance(m, int) or m < 1:
-        raise ValueError("root order must be a positive integer")
+        raise UsageError(f"root order must be a positive integer, got {m!r}")
     if m == 1:
         return A
     return op_exp(op_log(A) * (1.0 / m))
@@ -443,7 +438,7 @@ def _mapping_gap(spheres: SphereSet, f: StemFunction, B: QMatrix) -> float:
     # images of distinct spheres may collide; merge within tolerance
     merged: list[tuple[Sphere, int]] = []
     for sph, m in spheres.spheres:
-        w = h(sph.representative)
+        w = complex(h(sph.representative))
         for i, (other, om) in enumerate(merged):
             if other.param_distance(w.real, w.imag) <= tol:
                 merged[i] = (other, om + m)

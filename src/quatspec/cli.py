@@ -13,6 +13,7 @@ and wall-clock timing.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -115,6 +116,7 @@ def _read_input(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatspec",
@@ -205,8 +207,6 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
         payload = {"matrix": matrix_payload(op_log(A))}
         return payload, {"quadrature": QUAD_REL_TOL}, 0
     if cmd == "root":
-        if args.n < 1:
-            raise ParseError(f"--n wants a positive root order, got {args.n}")
         payload = {"matrix": matrix_payload(op_nth_root(A, args.n)),
                    "order": args.n}
         return payload, {"quadrature": QUAD_REL_TOL}, 0

@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ZeroDivisor
 
 __all__ = [
@@ -102,14 +104,8 @@ class Quaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        return Quaternion(*_hamilton((self.a, self.b, self.c, self.d),
+                                     (other.a, other.b, other.c, other.d)))
 
     def __rmul__(self, other):
         other = _coerce(other)
@@ -154,6 +150,21 @@ class Quaternion:
 
     def __str__(self):
         return (f"{self.a:g}{self.b:+g}i{self.c:+g}j{self.d:+g}k")
+
+
+def _hamilton(p, q):
+    """Components of p q from those of p and q, floats or arrays alike."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _array_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion arrays whose last axis holds a, b, c, d."""
+    return np.stack(_hamilton(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)), -1)
 
 
 def _coerce(v):

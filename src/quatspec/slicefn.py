@@ -8,25 +8,23 @@ the parameters (alpha, beta) with beta >= 0, through
 
 where I_q is the unit imaginary direction of q.  Stems are stored for
 beta >= 0 only and extended by parity (f0 even, f1 odd in beta), which
-makes the parity constraint structural.  Intrinsic functions have
-real-valued stems; for them the two kinds coincide and the function
-commutes with conjugation of the argument.
+makes the parity constraint structural.  Stems are read over arrays of
+points, a scalar point being the 0-d case: a stem value is a float
+array whose last axis holds the quaternion components a, b, c, d.
+Intrinsic functions have real-valued stems; for them the two kinds
+coincide and the function commutes with conjugation of the argument.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import json
-import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import NotIntrinsic, OutOfDomain, ParseError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _array_product
 
 __all__ = [
     "LEFT",
@@ -61,33 +59,32 @@ CUT_BUFFER = 1e-6
 class AxSymDomain:
     """Axially symmetric open set described in (alpha, beta) parameters.
 
-    contains_fn decides membership for beta >= 0; membership is invariant
-    under beta -> |beta| by construction.  box = (alpha_min, alpha_max,
-    beta_max) bounds the sampling region used by validation.  exclusions
-    lists forbidden half-plane disks ((alpha, beta), radius) that contour
-    construction must avoid exactly.
+    contains_fn maps same-shape float arrays alpha and beta >= 0 to a
+    bool array; membership is invariant under beta -> |beta| by
+    construction.  box = (alpha_min, alpha_max, beta_max) bounds the
+    sampling region used by validation.  exclusions lists forbidden
+    half-plane disks ((alpha, beta), radius) that contour construction
+    must avoid exactly.
     """
 
-    contains_fn: Callable[[float, float], bool]
+    contains_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: tuple[float, float, float]
     description: str = ""
     exclusions: tuple[tuple[tuple[float, float], float], ...] = ()
 
-    def contains(self, alpha: float, beta: float) -> bool:
-        return bool(self.contains_fn(float(alpha), abs(float(beta))))
+    def contains(self, alpha, beta) -> np.ndarray:
+        return self.contains_fn(*np.broadcast_arrays(alpha, np.abs(beta)))
 
 
 def entire_domain(box=(-3.0, 3.0, 3.0), description="all of H") -> AxSymDomain:
-    return AxSymDomain(lambda a, b: True, box, description)
+    return AxSymDomain(lambda a, b: np.full(a.shape, True), box, description)
 
 
 def cut_plane_domain(box=(-6.0, 6.0, 6.0)) -> AxSymDomain:
     """Everything except a buffered neighborhood of the ray (-inf, 0]."""
 
     def ok(a, b):
-        if math.hypot(a, b) <= CUT_BUFFER:
-            return False
-        return not (a <= 0.0 and b <= CUT_BUFFER)
+        return (np.hypot(a, b) > CUT_BUFFER) & ((a > 0.0) | (b > CUT_BUFFER))
 
     return AxSymDomain(ok, box, "slit plane, principal branch",
                        exclusions=(((0.0, 0.0), CUT_BUFFER),))
@@ -97,22 +94,21 @@ def cut_plane_domain(box=(-6.0, 6.0, 6.0)) -> AxSymDomain:
 class StemFunction:
     """Stem pair plus a kind tag and a domain.
 
-    pair takes (alpha, beta) with beta >= 0 and returns the quaternion
-    stem values (f0, f1) together.  kind "intrinsic" claims both stems
-    are real-valued; validation can check the claim, evaluation trusts it.
+    pair takes broadcastable float arrays alpha and beta >= 0 and returns
+    the stem values (f0, f1) together, each of shape broadcast(alpha,
+    beta).shape + (4,).  kind "intrinsic" claims both stems are
+    real-valued; validation can check the claim, evaluation trusts it.
     """
 
-    pair: Callable[[float, float], tuple[Quaternion, Quaternion]]
+    pair: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: AxSymDomain
     kind: str
     label: str = ""
 
-    def stems(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
-        """Parity-extended stem values at any real beta."""
-        if beta >= 0.0:
-            return self.pair(alpha, beta)
-        v0, v1 = self.pair(alpha, -beta)
-        return v0, -v1
+    def stems(self, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+        """Parity-extended stem values at any real beta, same shapes as pair."""
+        v0, v1 = self.pair(alpha, np.abs(beta))
+        return v0, np.where(np.less(beta, 0.0)[..., None], -v1, v1)
 
     def __call__(self, q: Quaternion) -> Quaternion:
         return eval_stem(self, q)
@@ -128,7 +124,7 @@ def eval_stem(f: StemFunction, q: Quaternion) -> Quaternion:
     beta = abs(q.imag)
     if not f.domain.contains(alpha, beta):
         raise OutOfDomain(f"point ({alpha:.6g}, {beta:.6g}) is outside the domain")
-    v0, v1 = f.pair(alpha, beta)
+    v0, v1 = (Quaternion(*v.tolist()) for v in f.pair(alpha, beta))
     if beta == 0.0:
         return v0
     iq = q.imag * (1.0 / beta)
@@ -137,42 +133,42 @@ def eval_stem(f: StemFunction, q: Quaternion) -> Quaternion:
     return v0 + iq * v1
 
 
-def from_holomorphic_intrinsic(h: Callable[[complex], complex],
+def from_holomorphic_intrinsic(h: Callable[[np.ndarray], np.ndarray],
                                domain: AxSymDomain,
                                label: str = "",
                                sym_tol: float = 1e-10) -> StemFunction:
     """Intrinsic stem pair from a holomorphic h with h(conj z) = conj(h(z)).
 
-    The symmetry is checked on an 8 x 8 grid of box sample points (those
-    inside the domain); violation raises NotIntrinsic.  Stems are the
-    even/odd combinations f0 = (h(z) + h(conj z))/2 and
-    f1 = (h(z) - h(conj z))/(2i).
+    h maps complex arrays elementwise.  The symmetry is checked on an
+    8 x 8 grid of box sample points (those inside the domain); violation
+    raises NotIntrinsic.  Stems are the even/odd combinations
+    f0 = (h(z) + h(conj z))/2 and f1 = (h(z) - h(conj z))/(2i).
     """
     amin, amax, bmax = domain.box
-    for ia in range(8):
-        for ib in range(8):
-            a = amin + (ia + 0.5) * (amax - amin) / 8.0
-            b = (ib + 0.5) * bmax / 8.0
-            if not domain.contains(a, b):
-                continue
-            z = complex(a, b)
-            hz = h(z)
-            hzc = h(z.conjugate())
-            if abs(hzc - hz.conjugate()) > sym_tol * (1.0 + abs(hz)):
-                raise NotIntrinsic(
-                    f"h(conj z) != conj h(z) at z = {z:.6g}")
+    cells = np.arange(8) + 0.5
+    z = amin + cells[:, None] * (amax - amin) / 8.0 + 1j * (cells * bmax / 8.0)
+    z = z[domain.contains(z.real, z.imag)]
+    hz = np.broadcast_to(h(z), z.shape)
+    bad = np.abs(h(np.conj(z)) - np.conj(hz)) > sym_tol * (1.0 + np.abs(hz))
+    if bad.any():
+        raise NotIntrinsic(f"h(conj z) != conj h(z) at z = {z[bad][0]:.6g}")
 
     def pair(a, b):
-        z = complex(a, b)
-        hz, hzc = h(z), h(z.conjugate())
-        return (Quaternion.from_complex(0.5 * (hz + hzc)),
-                Quaternion.from_complex((hz - hzc) / 2j))
+        z = a + 1j * b
+        hz, hzc = h(z), h(np.conj(z))
+        return _from_complex(0.5 * (hz + hzc)), _from_complex((hz - hzc) / 2j)
 
     return StemFunction(pair, domain, INTRINSIC, label)
 
 
-def restrict_to_slice(f: StemFunction) -> Callable[[complex], complex]:
-    """The induced map on the distinguished slice plane.
+def _from_complex(w) -> np.ndarray:
+    """Stem values (Re w, Im w, 0, 0): slice-plane values as quaternions."""
+    zero = np.zeros(np.shape(w))
+    return np.stack([np.real(w), np.imag(w), zero, zero], -1)
+
+
+def restrict_to_slice(f: StemFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """The induced map on the distinguished slice plane, elementwise on arrays.
 
     Only defined for intrinsic f, where values stay inside the plane.
     """
@@ -182,31 +178,32 @@ def restrict_to_slice(f: StemFunction) -> Callable[[complex], complex]:
     return lambda z: values(z)[0]
 
 
-def _slice_values(f: StemFunction) -> Callable[[complex], tuple[complex, ...]]:
-    """Slice values f0[m] + i f1[m] of f's pieces, one stem read per point.
+def _slice_values(f: StemFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """Slice values f0[m] + i f1[m] of f's pieces, one stem read per array.
 
-    Four pieces, those of decompose, for one-sided f; one for intrinsic f,
-    whose stems must be real to 1e-9 (1 + |f0| + |f1|).  f1 is 0 at real z.
+    A complex array z maps to shape (pieces, *z.shape): four pieces, those
+    of decompose, for one-sided f; one for intrinsic f, whose stems must
+    be real to 1e-9 (1 + |f0| + |f1|).  f1 is 0 at real z.
     """
-    def values(z: complex) -> tuple[complex, ...]:
-        alpha, beta = z.real, z.imag
-        if not f.domain.contains(alpha, beta):
-            raise OutOfDomain(
-                f"point ({alpha:.6g}, {abs(beta):.6g}) is outside the domain")
-        v0, v1 = f.stems(alpha, beta)
-        if beta == 0.0:
-            v1 = Quaternion()
-        parts = tuple(map(complex, _parts(v0), _parts(v1)))
+    def values(z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        inside = f.domain.contains(z.real, z.imag)
+        if not inside.all():
+            bad = z[~inside][0]
+            raise OutOfDomain(f"point ({bad.real:.6g}, {abs(bad.imag):.6g}) "
+                              "is outside the domain")
+        v0, v1 = f.stems(z.real, z.imag)
+        v1 = np.where((z.imag == 0.0)[..., None], 0.0, v1)
+        parts = np.moveaxis(np.broadcast_to(v0 + 1j * v1, z.shape + (4,)), -1, 0)
         if f.kind != INTRINSIC:
             return parts
-        if math.hypot(*map(abs, parts[1:])) > 1e-9 * (1.0 + abs(v0) + abs(v1)):
-            raise NotIntrinsic(f"stems at {complex(z):.6g} are not real")
+        scale = 1.0 + np.linalg.norm(v0, axis=-1) + np.linalg.norm(v1, axis=-1)
+        bad = np.linalg.norm(parts[1:], axis=0) > 1e-9 * scale
+        if bad.any():
+            raise NotIntrinsic(f"stems at {z[bad][0]:.6g} are not real")
         return parts[:1]
 
     return values
-
-
-_parts = operator.attrgetter("a", "b", "c", "d")
 
 
 def decompose(f: StemFunction) -> tuple[StemFunction, StemFunction,
@@ -222,7 +219,7 @@ def decompose(f: StemFunction) -> tuple[StemFunction, StemFunction,
     for m in range(4):
         def pair_m(a, b, _m=m):
             v0, v1 = f.pair(a, b)
-            return Quaternion(_parts(v0)[_m]), Quaternion(_parts(v1)[_m])
+            return _from_complex(v0[..., _m]), _from_complex(v1[..., _m])
 
         pieces.append(StemFunction(pair_m, f.domain, INTRINSIC,
                                    f"{f.label}[{m}]" if f.label else ""))
@@ -257,7 +254,8 @@ def stem_product(f: StemFunction, g: StemFunction) -> StemFunction:
     def pair(a, b):
         f0, f1 = f.pair(a, b)
         g0, g1 = g.pair(a, b)
-        return f0 * g0 - f1 * g1, f0 * g1 + f1 * g0
+        return (_array_product(f0, g0) - _array_product(f1, g1),
+                _array_product(f0, g1) + _array_product(f1, g0))
 
     return StemFunction(pair, dom, kind, _join_labels(f.label, "*", g.label))
 
@@ -273,20 +271,18 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
         raise NotIntrinsic("composition requires an intrinsic inner function")
     fs = restrict_to_slice(f)
 
-    # the domain test and then the stems read the same point
-    @functools.lru_cache(maxsize=1)
     def inner(a, b):
-        w = fs(complex(a, b))
+        w = fs(a + 1j * b)
         return w.real, w.imag
 
     def pair(a, b):
         return g.stems(*inner(a, b))
 
     def dom_ok(a, b):
-        if not f.domain.contains(a, b):
-            return False
-        u, v = inner(a, b)
-        return g.domain.contains(u, v)
+        # f is read only where it is defined
+        ok = np.array(f.domain.contains(a, b))
+        ok[ok] = g.domain.contains(*inner(a[ok], b[ok]))
+        return ok
 
     dom = AxSymDomain(dom_ok, f.domain.box,
                       f"composition domain", f.domain.exclusions)
@@ -306,7 +302,7 @@ def _join_kinds(k1: str, k2: str) -> str:
 def _intersect_domains(d1: AxSymDomain, d2: AxSymDomain) -> AxSymDomain:
     box = (max(d1.box[0], d2.box[0]), min(d1.box[1], d2.box[1]),
            min(d1.box[2], d2.box[2]))
-    return AxSymDomain(lambda a, b: d1.contains(a, b) and d2.contains(a, b),
+    return AxSymDomain(lambda a, b: d1.contains(a, b) & d2.contains(a, b),
                        box, f"{d1.description} & {d2.description}",
                        d1.exclusions + d2.exclusions)
 
@@ -360,22 +356,18 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
             stencil = ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))
             if not all(f.domain.contains(*p) for p in stencil):
                 continue
-            (ap0, ap1), (am0, am1) = f.stems(a + h, b), f.stems(a - h, b)
-            (bp0, bp1), (bm0, bm1) = f.stems(a, b + h), f.stems(a, b - h)
-            da_f0 = (ap0 - am0) / (2 * h)
-            db_f0 = (bp0 - bm0) / (2 * h)
-            da_f1 = (ap1 - am1) / (2 * h)
-            db_f1 = (bp1 - bm1) / (2 * h)
-            r1 = da_f0 - db_f1
-            r2 = db_f0 + da_f1
-            cr = max(cr, abs(r1), abs(r2))
+            # rows 0 and 1 of da, db: the derivatives of f0 and of f1
+            da = np.subtract(f.stems(a + h, b), f.stems(a - h, b)) / (2 * h)
+            db = np.subtract(f.stems(a, b + h), f.stems(a, b - h)) / (2 * h)
+            cr = max(cr, np.linalg.norm(da[0] - db[1]),
+                     np.linalg.norm(db[0] + da[1]))
             samples += 1
 
     compat = 0.0
     for ia in range(grid):
         a = amin + (ia + 0.5) * (amax - amin) / grid
         if f.domain.contains(a, 0.0):
-            compat = max(compat, abs(f.pair(a, 0.0)[1]))
+            compat = max(compat, np.linalg.norm(f.pair(a, 0.0)[1]))
             samples += 1
 
     intrinsic = 0.0
@@ -387,8 +379,7 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
                 if not f.domain.contains(a, b):
                     continue
                 for v in f.pair(a, b):
-                    intrinsic = max(intrinsic,
-                                    math.hypot(v.b, v.c, v.d))
+                    intrinsic = max(intrinsic, np.linalg.norm(v[1:]))
                 samples += 1
 
     return ValidationReport(
@@ -408,7 +399,7 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
 def _real_poly(coeffs):
     cs = [float(c) for c in coeffs]
 
-    def h(z: complex) -> complex:
+    def h(z: np.ndarray) -> np.ndarray:
         acc = 0j
         for c in reversed(cs):
             acc = acc * z + c
@@ -417,13 +408,13 @@ def _real_poly(coeffs):
     return h
 
 
-def _monomial_stems(a: Quaternion, n: int, kind: str,
+def _monomial_stems(a: np.ndarray, n: int, kind: str,
                     label: str) -> StemFunction:
     # (alpha + beta i)^n = u + v i with real u, v shared by every slice;
     # real u, v commute with a, so only the kind tells a q^n from q^n a
     def pair(al, be):
-        w = complex(al, be) ** n
-        return a * w.real, a * w.imag
+        w = (al + 1j * be) ** n
+        return np.multiply.outer(np.real(w), a), np.multiply.outer(np.imag(w), a)
 
     return StemFunction(pair, entire_domain((-4.0, 4.0, 4.0)), kind, label)
 
@@ -442,16 +433,18 @@ def _is_real_list(x, length: int | None = None) -> bool:
                     for c in x))
 
 
-def _pole_domain(den_coeffs) -> AxSymDomain:
-    roots = np.roots(list(reversed([float(c) for c in den_coeffs])))
-    excl = tuple(((float(r.real), abs(float(r.imag))), CUT_BUFFER)
-                 for r in roots)
+def _punctured_domain(points, description) -> AxSymDomain:
+    """The box (-4, 4, 4) minus disks of radius CUT_BUFFER around points."""
+    excl = tuple(((float(p.real), abs(float(p.imag))), CUT_BUFFER)
+                 for p in points)
 
     def ok(a, b):
-        return all(math.hypot(a - ea, b - eb) > rad
-                   for (ea, eb), rad in excl)
+        inside = np.full(a.shape, True)
+        for (ea, eb), rad in excl:
+            inside &= np.hypot(a - ea, b - eb) > rad
+        return inside
 
-    return AxSymDomain(ok, (-4.0, 4.0, 4.0), "pole-free region", excl)
+    return AxSymDomain(ok, (-4.0, 4.0, 4.0), description, excl)
 
 
 def catalog(name: str) -> StemFunction:
@@ -466,11 +459,11 @@ def catalog(name: str) -> StemFunction:
     monoR is q^n a (left kind) with a quaternion coefficient a.
     """
     if name == "exp":
-        return from_holomorphic_intrinsic(cmath.exp, entire_domain(), "exp")
+        return from_holomorphic_intrinsic(np.exp, entire_domain(), "exp")
     if name == "log":
-        return from_holomorphic_intrinsic(cmath.log, cut_plane_domain(), "log")
+        return from_holomorphic_intrinsic(np.log, cut_plane_domain(), "log")
     if name == "sqrt":
-        return from_holomorphic_intrinsic(cmath.sqrt, cut_plane_domain(), "sqrt")
+        return from_holomorphic_intrinsic(np.sqrt, cut_plane_domain(), "sqrt")
     if name.startswith("pow:"):
         try:
             n = int(name[4:])
@@ -479,9 +472,7 @@ def catalog(name: str) -> StemFunction:
         if n >= 0:
             dom = entire_domain((-4.0, 4.0, 4.0))
         else:
-            dom = AxSymDomain(lambda a, b: math.hypot(a, b) > CUT_BUFFER,
-                              (-4.0, 4.0, 4.0), "punctured plane",
-                              (((0.0, 0.0), CUT_BUFFER),))
+            dom = _punctured_domain([0j], "punctured plane")
         return from_holomorphic_intrinsic(lambda z: z ** n, dom, name)
     if name.startswith("poly:"):
         cs = _parse_json_fragment(name[5:], "coefficient list")
@@ -501,8 +492,8 @@ def catalog(name: str) -> StemFunction:
         if not any(c != 0 for c in qs):
             raise ParseError("ratpoly denominator is identically zero")
         hp, hq = _real_poly(ps), _real_poly(qs)
-        return from_holomorphic_intrinsic(lambda z: hp(z) / hq(z),
-                                          _pole_domain(qs), name)
+        dom = _punctured_domain(np.roots(qs[::-1]), "pole-free region")
+        return from_holomorphic_intrinsic(lambda z: hp(z) / hq(z), dom, name)
     if name.startswith(("monoL:", "monoR:")):
         desc = _parse_json_fragment(name[6:], "monomial descriptor")
         ok = (isinstance(desc, list) and len(desc) == 2
@@ -510,7 +501,7 @@ def catalog(name: str) -> StemFunction:
               and type(desc[1]) is int and desc[1] >= 0)
         if not ok:
             raise ParseError(f"monomial wants [[a,b,c,d], n>=0]: {name!r}")
-        coeff = Quaternion(*[float(c) for c in desc[0]])
+        coeff = np.array(desc[0], dtype=float)
         kind = RIGHT if name.startswith("monoL:") else LEFT
         return _monomial_stems(coeff, desc[1], kind, name)
     raise ParseError(f"unknown catalog name {name!r}")

@@ -25,6 +25,11 @@ def random_qmatrix(gen, n: int, scale: float = 1.0) -> QMatrix:
     return QMatrix.from_components(*comps)
 
 
+def stem_values(a, b=0.0, c=0.0, d=0.0) -> np.ndarray:
+    """Stem values with components a, b, c, d, broadcast to shape (..., 4)."""
+    return np.stack(np.broadcast_arrays(a, b, c, d), -1)
+
+
 def assert_quat_close(p: Quaternion, q: Quaternion, tol: float = 1e-12):
     d = abs(p - q)
     assert d <= tol, f"{p} vs {q} differ by {d:.3e} (tol {tol:.1e})"

@@ -27,6 +27,7 @@ from quatspec import (
     SphereSet,
     StemFunction,
     StructureViolation,
+    UsageError,
     auto_contour,
     build_contour,
     calculus_intrinsic,
@@ -55,6 +56,7 @@ from _helpers import (
     assert_quat_close,
     random_qmatrix,
     rng,
+    stem_values,
 )
 
 
@@ -135,7 +137,7 @@ def test_riesz_dunford_identity_function():
 def test_riesz_dunford_nilpotent_exp():
     M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     contour = build_contour(single_sphere(0.0, 0.0, 2), entire_domain(), 0.5)
-    out = riesz_dunford(M, cmath.exp, contour)
+    out = riesz_dunford(M, np.exp, contour)
     want = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert np.max(np.abs(out - want)) < 1e-10
 
@@ -182,8 +184,8 @@ def test_riesz_dunford_node_count_independent():
     M = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
     contour = auto_contour(s_spectrum(random_qmatrix(gen, 1)), entire_domain())
     contour = SliceContour((Circle(0j, float(np.linalg.norm(M)) + 1.0),))
-    coarse = riesz_dunford(M, cmath.exp, contour, nodes=8)
-    fine = riesz_dunford(M, cmath.exp, contour, nodes=64)
+    coarse = riesz_dunford(M, np.exp, contour, nodes=8)
+    fine = riesz_dunford(M, np.exp, contour, nodes=64)
     diff = np.linalg.norm(coarse - fine)
     assert diff <= 1e-9 * (1 + np.linalg.norm(fine))
 
@@ -267,7 +269,7 @@ def test_structure_residual_small_for_intrinsic():
     from quatspec import adjoint_structure_residual
     A = random_qmatrix(gen, 3)
     contour = auto_contour(s_spectrum(A), entire_domain())
-    raw = riesz_dunford(complex_adjoint(A), cmath.exp, contour)
+    raw = riesz_dunford(complex_adjoint(A), np.exp, contour)
     assert adjoint_structure_residual(raw) < 1e-9 * (1 + np.linalg.norm(raw))
 
 
@@ -383,6 +385,7 @@ def test_sided_call_makes_one_pass(monkeypatch, method):
     def counted(name, fn, weight=lambda *args: 1):
         def wrapper(*args, **kwargs):
             calls[name] += weight(*args)
+            calls[name + " calls"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -393,16 +396,20 @@ def test_sided_call_makes_one_pass(monkeypatch, method):
                         counted("nodes", qcalc._checked_solve,
                                 lambda stack, what: len(stack)))
     f = catalog(SIDED_NAMES["monoL"])
-    f = StemFunction(counted("pair", f.pair), f.domain, f.kind, f.label)
+    f = StemFunction(counted("pair", f.pair,
+                             lambda a, b: np.broadcast(a, b).size),
+                     f.domain, f.kind, f.label)
     calculus_sided(random_qmatrix(rng(191), 3, scale=0.7), f, method=method)
     assert calls["spectrum"] == calls["contour"] == 1
     assert calls["nodes"] > 0
+    # one stem read per solved node, in one pair call per batch of solves
     assert calls["pair"] == calls["nodes"]
+    assert calls["pair calls"] == calls["nodes calls"]
 
 
 def _j_valued_intrinsic_claim():
     return StemFunction(
-        pair=lambda al, be: (Quaternion(al, 0.0, 0.5, 0.0), Quaternion(be)),
+        pair=lambda al, be: (stem_values(al, 0.0, 0.5), stem_values(be)),
         domain=entire_domain(), kind=INTRINSIC)
 
 
@@ -490,9 +497,9 @@ def test_root_round_trip():
 def test_root_degenerate_arguments():
     A = QMatrix.identity(2)
     assert_matrix_close(op_nth_root(A, 1), A, 1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         op_nth_root(A, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         op_nth_root(A, -2)
 
 
@@ -526,3 +533,44 @@ def test_polynomial_suite_control_case():
 def test_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         verify_theorems(QMatrix.identity(1), "cauchy")
+
+
+# ---------------------------------------------------------------- disk test
+
+def _disk_in_domain_by_point(center, radius, domain):
+    """The disk test read one point at a time, as a reference."""
+    if not domain.contains(center.real, center.imag):
+        return False
+    for frac in (1.0, 0.85, 0.6, 0.35, 0.12):
+        for k in range(32):
+            z = center + radius * frac * cmath.exp(2j * math.pi * k / 32)
+            if not domain.contains(z.real, z.imag):
+                return False
+    b = center.imag
+    if abs(b) < radius:
+        half = math.sqrt(radius * radius - b * b)
+        for t in range(17):
+            a = center.real - half + 2.0 * half * t / 16
+            if not domain.contains(a, 0.0):
+                return False
+    for (ea, eb), rad in domain.exclusions:
+        for ebs in (eb, -eb):
+            if abs(center - complex(ea, ebs)) < radius + rad:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "pow:-1",
+                                  "ratpoly:[1, 0, 1]/[2, 1]"])
+def test_disk_in_domain_matches_point_by_point_reference(name):
+    domain = catalog(name).domain
+    gen = rng(197)
+    verdicts = Counter()
+    for _ in range(200):
+        center = complex(*gen.uniform(-3.0, 3.0, 2))
+        radius = float(gen.uniform(0.01, 2.5))
+        want = _disk_in_domain_by_point(center, radius, domain)
+        assert qcalc._disk_in_domain(center, radius, domain) == want
+        verdicts[want] += 1
+    assert verdicts[True] > 0
+    assert name == "exp" or verdicts[False] > 0

@@ -8,7 +8,13 @@ import sys
 import pytest
 
 from quatspec import I, QMatrix, Quaternion
-from quatspec.cli import main, matrix_payload, parse_matrix, parse_matrix_text
+from quatspec.cli import (
+    build_parser,
+    main,
+    matrix_payload,
+    parse_matrix,
+    parse_matrix_text,
+)
 from quatspec.errors import NonFiniteEntry, NonSquare, ParseError
 
 from _helpers import assert_matrix_close, random_qmatrix, rng
@@ -222,6 +228,26 @@ def test_distance_command(tmp_path, capsys):
     assert env["payload"]["via_radius"] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_cached_parser_parses_each_call_independently(tmp_path, capsys):
+    # the parser is built once per process; options and defaults of one
+    # call must not leak into the next
+    assert build_parser() is build_parser()
+    path = write_matrix(tmp_path, "i.json", QMatrix.from_entries([[I]]))
+    code, env, _ = run_cli(capsys, "calculus", "--fn", "exp",
+                           "--method", "s_contour", "--input", path)
+    assert code == 0 and env["payload"]["method"] == "s_contour"
+    code, env, _ = run_cli(capsys, "radius", "--method", "power",
+                           "--input", path)
+    assert code == 0 and env["payload"]["method"] == "power"
+    code, env, _ = run_cli(capsys, "calculus", "--fn", "poly:[0, 1]",
+                           "--input", path)
+    assert code == 0
+    assert env["payload"]["method"] == "complex_path"
+    assert env["payload"]["fn"] == "poly:[0, 1]"
+    code, env, _ = run_cli(capsys, "radius", "--input", path)
+    assert code == 0 and env["payload"]["method"] == "eig"
+
+
 def test_payload_determinism(tmp_path, capsys):
     gen = rng(239)
     path = write_matrix(tmp_path, "rand.json", random_qmatrix(gen, 2))
@@ -265,8 +291,8 @@ def test_exit_one_on_bad_arguments(capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (("root", "--n", "0"), "ParseError"),
-    (("root", "--n", "-2"), "ParseError"),
+    (("root", "--n", "0"), "UsageError"),
+    (("root", "--n", "-2"), "UsageError"),
     (("distance", "--alpha", "nan"), "NonFiniteEntry"),
     (("distance", "--alpha", "inf"), "NonFiniteEntry"),
 ], ids=["root-n-0", "root-n-minus-2", "alpha-nan", "alpha-inf"])

@@ -29,7 +29,7 @@ from quatspec import (
 from quatspec.errors import NotIntrinsic, OutOfDomain, ParseError
 from quatspec.slicefn import INTRINSIC, LEFT, RIGHT, AxSymDomain, _slice_values
 
-from _helpers import assert_quat_close, random_quaternion, rng
+from _helpers import assert_quat_close, random_quaternion, rng, stem_values
 
 
 def _identity_stem():
@@ -62,7 +62,7 @@ def test_eval_at_real_points_uses_f0_only():
 
 
 def test_from_holomorphic_intrinsic():
-    f = from_holomorphic_intrinsic(cmath.exp, entire_domain((-4.0, 4.0, 4.0)))
+    f = from_holomorphic_intrinsic(np.exp, entire_domain((-4.0, 4.0, 4.0)))
     assert f.kind == INTRINSIC
     got = eval_stem(f, J * math.pi)
     assert_quat_close(got, Quaternion(-1.0), 1e-12)
@@ -180,7 +180,7 @@ def test_validate_catalog_functions_pass(name, fd_step):
 
 def test_validate_flags_non_holomorphic_stems():
     bad = StemFunction(
-        pair=lambda al, be: (Quaternion(al * al), Quaternion(0.0)),
+        pair=lambda al, be: (stem_values(al * al), stem_values(0.0 * al)),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="alpha^2 stem",
@@ -192,7 +192,7 @@ def test_validate_flags_non_holomorphic_stems():
 
 def test_validate_flags_compatibility_breakage():
     bad = StemFunction(
-        pair=lambda al, be: (Quaternion(al), Quaternion(1.0)),
+        pair=lambda al, be: (stem_values(al), stem_values(np.ones_like(al))),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="constant f1",
@@ -204,7 +204,7 @@ def test_validate_flags_compatibility_breakage():
 
 def test_validate_flags_quaternion_valued_intrinsic_claim():
     bad = StemFunction(
-        pair=lambda al, be: (Quaternion(al, 0.5, 0.0, 0.0), Quaternion(be)),
+        pair=lambda al, be: (stem_values(al, 0.5), stem_values(be)),
         domain=entire_domain(),
         kind=INTRINSIC,
         label="imaginary f0",
@@ -357,7 +357,7 @@ def test_from_holomorphic_intrinsic_reads_h_twice_per_point():
 
     def h(z):
         calls.append(z)
-        return cmath.exp(z)
+        return np.exp(z)
 
     f = from_holomorphic_intrinsic(h, entire_domain())
     calls.clear()
@@ -387,11 +387,15 @@ def test_stem_compose_reads_each_pair_once():
     h.pair(0.3, 0.7)
     assert (fc.calls, gc.calls) == (1, 1)
     # eval_stem tests the domain, which maps the point through f, then
-    # reads the stems at the same point
+    # reads the stems, which map it through f again
     eval_stem(h, Quaternion(0.2, 0.4, -0.3, 0.5))
-    assert (fc.calls, gc.calls) == (2, 2)
-    _slice_values(h)(0.2 - 0.6j)
-    assert (fc.calls, gc.calls) == (3, 3)
+    assert (fc.calls, gc.calls) == (3, 2)
+    # an array of points costs the same reads as one point
+    for points in (1, 7, (2, 3)):
+        fc.calls = gc.calls = 0
+        z = np.full(points, 0.2 - 0.6j)
+        assert _slice_values(h)(z).shape == (4, *z.shape)
+        assert (fc.calls, gc.calls) == (2, 1)
 
 
 def test_decompose_pieces_read_the_pair_once():
@@ -440,10 +444,11 @@ def test_slice_values_match_eval_stem(name):
 
 
 def test_slice_values_drop_f1_at_real_points():
-    bad_f1 = StemFunction(pair=lambda al, be: (Quaternion(al), Quaternion(1.0)),
-                          domain=entire_domain(), kind=INTRINSIC)
-    assert _slice_values(bad_f1)(0.5 + 0j) == (0.5 + 0j,)
-    assert _slice_values(bad_f1)(0.5 - 0.25j) == (0.5 - 1j,)
+    bad_f1 = StemFunction(
+        pair=lambda al, be: (stem_values(al), stem_values(np.ones_like(al))),
+        domain=entire_domain(), kind=INTRINSIC)
+    assert _slice_values(bad_f1)(0.5 + 0j).tolist() == [0.5 + 0j]
+    assert _slice_values(bad_f1)(0.5 - 0.25j).tolist() == [0.5 - 1j]
 
 
 def test_slice_values_out_of_domain():
@@ -459,7 +464,76 @@ def test_slice_values_out_of_domain():
 def test_restrict_to_slice_rejects_non_real_stems(imag):
     # an intrinsic tag on stems with an imaginary component: both the j
     # component and the i component break the claim
-    bad = StemFunction(pair=lambda al, be: (Quaternion(al) + imag, Quaternion(be)),
-                       domain=entire_domain(), kind=INTRINSIC)
+    bad = StemFunction(
+        pair=lambda al, be: (stem_values(al, imag.b, imag.c, imag.d),
+                             stem_values(be)),
+        domain=entire_domain(), kind=INTRINSIC)
     with pytest.raises(NotIntrinsic):
         restrict_to_slice(bad)(0.3 + 0.2j)
+
+
+# -- array reads equal stacked point reads ---------------------------------
+
+def _stem_variants():
+    """Every catalog function, the combinators and the decompose pieces."""
+    mono = catalog(CATALOG_NAMES[7])
+    poly = catalog("poly:[0.2, 0, 0.4]")
+    variants = {name: catalog(name) for name in CATALOG_NAMES}
+    variants.update({
+        "sum": stem_sum(catalog("exp"), catalog(CATALOG_NAMES[8])),
+        "product intrinsic*left": stem_product(catalog("exp"),
+                                               catalog(CATALOG_NAMES[8])),
+        "product right*intrinsic": stem_product(mono, poly),
+        "compose intrinsic": stem_compose(catalog("exp"), poly),
+        "compose right": stem_compose(mono, poly),
+    })
+    for m, piece in enumerate(decompose(mono)):
+        variants[f"piece {m}"] = piece
+    return variants
+
+
+STEM_VARIANTS = _stem_variants()
+
+
+def _stacked(read, alpha, beta, scalar):
+    """read called on one scalar point at a time, restacked to the array shape."""
+    values = [read(scalar(a), scalar(b))
+              for a, b in zip(alpha.ravel(), beta.ravel())]
+    return [np.reshape([v[i] for v in values], alpha.shape + (4,))
+            for i in range(2)]
+
+
+@pytest.mark.parametrize("scalar", [float, np.asarray], ids=["float", "0-d"])
+@pytest.mark.parametrize("name", sorted(STEM_VARIANTS))
+def test_array_reads_match_stacked_point_reads(name, scalar):
+    f = STEM_VARIANTS[name]
+    gen = rng(311)
+    for shape in ((5,), (2, 3)):
+        alpha = gen.uniform(0.2, 1.5, shape)
+        beta = gen.uniform(0.1, 1.2, shape) * gen.choice([-1.0, 1.0], shape)
+        for read, b in ((f.pair, np.abs(beta)), (f.stems, beta)):
+            got = read(alpha, b)
+            for g, w in zip(got, _stacked(read, alpha, b, scalar)):
+                assert g.shape == alpha.shape + (4,)
+                assert np.all(np.abs(g - w) <= 1e-15 * (1.0 + np.abs(w))), name
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_slice_values_read_the_pair_once_per_array(name):
+    f, fc = _counted(name)
+    z = 0.8 + 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    values = _slice_values(f)(z)
+    assert fc.calls == 1
+    assert values.shape == (1 if f.kind == INTRINSIC else 4, 64)
+
+
+def test_compose_domain_reads_the_inner_function_only_inside_its_domain():
+    # log is undefined on the cut, so the composition's domain test must
+    # answer False there instead of reading log
+    comp = stem_compose(catalog("exp"), catalog("log"))
+    alpha = np.array([[-1.0, 0.5], [0.0, 2.0]])
+    beta = np.array([[0.0, 0.3], [0.0, 1.0]])
+    assert comp.domain.contains(alpha, beta).tolist() == [[False, True],
+                                                           [False, True]]
+    assert not comp.domain.contains(-1.0, 0.0)
+    assert comp.domain.contains(0.5, -0.3)

@@ -84,6 +84,7 @@ __all__ = [
 
 NODE_CAP = 1 << 16
 QUAD_REL_TOL = 1e-10
+_BATCH_ENTRIES = 1 << 16  # matrix entries per batched solve
 
 
 class Circle(NamedTuple):
@@ -230,28 +231,38 @@ def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
 # -- quadrature -------------------------------------------------------------
 
 def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
-               nodes: int = 32) -> np.ndarray:
+               size: int, nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
-    h and at_nodes map one circle's node array, once per circle and
-    level: at_nodes to a stack of arrays, one per node, and h to one
-    value per node or, with a leading axis of p, p values per node.
-    The convergence test is on the Frobenius norm of the whole sum.
+    Nested periodic trapezoid levels at a node count N per circle that
+    doubles: the first level takes the angles k/N, each later level only
+    the new odd angles (2k+1)/(2N), added to one raw sum that N divides,
+    so every node is solved once.  A level's nodes on all circles go out
+    in chunks of at most _BATCH_ENTRIES // size^2, size being the order
+    of the solved matrices: at_nodes maps a chunk to one array per node,
+    h to one value per node or, with a leading axis of p, p values per
+    node.  The convergence test is on the Frobenius norm of the whole sum.
     """
-    prev = None
+    centers = np.array([c.center for c in contour.circles])[:, None]
+    radii = np.array([c.radius for c in contour.circles])[:, None]
+    chunk = max(1, _BATCH_ENTRIES // (size * size))
     count = max(4, nodes)
+    angles = np.arange(count) / count
+    raw, prev = 0.0, None
     while count <= NODE_CAP:
-        rot = np.exp(2j * np.pi * np.arange(count) / count)
-        total = 0.0
-        for circ in contour.circles:
-            z = circ.center + circ.radius * rot
-            fv = np.asarray(h(z)) * (circ.radius * rot / count)
-            total = total + np.tensordot(fv, at_nodes(z), 1)
+        dz = radii * np.exp(2j * np.pi * angles)
+        z, dz = (centers + dz).ravel(), dz.ravel()
+        for lo in range(0, z.size, chunk):
+            zc = z[lo:lo + chunk]
+            fv = np.asarray(h(zc)) * dz[lo:lo + chunk]
+            raw = raw + np.tensordot(fv, at_nodes(zc), 1)
+        total = raw / count
         if prev is not None:
             delta = float(np.linalg.norm(total - prev))
             if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
                 return total
         prev = total
+        angles = (2 * np.arange(count) + 1) / (2 * count)
         count *= 2
     raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
 
@@ -272,17 +283,19 @@ def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
                   nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) (z I - M)^-1 dz over the contour.
 
-    Periodic trapezoid sums per circle, all circles at a shared node
-    count that doubles until two successive totals agree to 1e-10
-    relative; the cap of 2^16 nodes raises QuadratureStalled.  h maps a
-    node array to its values, shape (p, nodes) for a stack of p matrices.
+    Nested periodic trapezoid sums, all circles at a shared node count
+    that doubles until two successive totals agree to 1e-10 relative;
+    each level solves only its new nodes, all circles together in
+    bounded chunks, and the cap of 2^16 nodes per circle raises
+    QuadratureStalled.  h maps a node array to its values, shape
+    (p, nodes) for a stack of p matrices.
     """
     M = np.asarray(M, dtype=complex)
     eye = np.eye(M.shape[0])
     return _trapezoid(
         contour, h,
         lambda z: _checked_solve(z[:, None, None] * eye - M, "the resolvent"),
-        nodes)
+        M.shape[0], nodes)
 
 
 def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMatrix]:
@@ -306,7 +319,8 @@ def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMa
         return -np.stack([qx @ bx - np.conj(qy) @ A.y,
                           qy @ bx + np.conj(qx) @ A.y], axis=1)
 
-    return [QMatrix(rx, ry) for rx, ry in _trapezoid(contour, h, resolvents)]
+    return [QMatrix(rx, ry)
+            for rx, ry in _trapezoid(contour, h, resolvents, 2 * A.n)]
 
 
 # -- the calculus ----------------------------------------------------------

@@ -48,7 +48,14 @@ __all__ = ["main", "parse_matrix", "parse_matrix_text", "matrix_payload"]
 
 def parse_matrix(path: str) -> QMatrix:
     """Read and decode a matrix file (or stdin for the path "-")."""
-    return parse_matrix_text(_read_input(path).decode("utf-8"))
+    return parse_matrix_text(_decode(_read_input(path)))
+
+
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def parse_matrix_text(text: str) -> QMatrix:
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, raw: bytes) -> tuple[dict, dict, int]:
     """Dispatch one parsed command; returns payload, tolerances, exit code."""
-    A = parse_matrix_text(raw.decode("utf-8"))
+    A = parse_matrix_text(_decode(raw))
     cmd = args.command
     if cmd == "spectrum":
         spheres = s_spectrum(A, args.tol)

@@ -202,6 +202,159 @@ def test_riesz_dunford_margin_independent():
         assert diff <= 1e-9 * (1 + np.linalg.norm(results[0]))
 
 
+# ---------------------------------------------------------------- nested trapezoid
+
+def _resolving_trapezoid(contour, h, at_nodes, nodes=32):
+    """The re-solving trapezoid the nested one replaced: the reference.
+
+    Every level recomputes all of its nodes, one circle per h and
+    at_nodes call.
+    """
+    prev = None
+    count = max(4, nodes)
+    while count <= qcalc.NODE_CAP:
+        rot = np.exp(2j * np.pi * np.arange(count) / count)
+        total = 0.0
+        for circ in contour.circles:
+            z = circ.center + circ.radius * rot
+            fv = np.asarray(h(z)) * (circ.radius * rot / count)
+            total = total + np.tensordot(fv, at_nodes(z), 1)
+        if prev is not None:
+            delta = float(np.linalg.norm(total - prev))
+            if delta <= qcalc.QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
+                return total
+        prev = total
+        count *= 2
+    raise QuadratureStalled("reference stalled")
+
+
+def _triangular(values, seed):
+    """Upper triangular A whose spheres are those of the diagonal values."""
+    gen = rng(seed)
+    n = len(values)
+    upper = np.triu(np.ones((n, n)), 1)
+    comps = [c + 0.3 * upper * gen.standard_normal((n, n))
+             for c in QMatrix.diag(values).components()]
+    return QMatrix.from_components(*comps)
+
+
+# circle count -> diagonal values and contour margin; the merged circles
+# of three spheres in a row take three doubling levels
+CONTOUR_CASES = {
+    1: ([Quaternion(1.0), Quaternion(1.5), Quaternion(2.0)], 0.3),
+    2: ([Quaternion(1.0), Quaternion(3.0)], 0.4),
+    5: ([Quaternion(1.0), Quaternion(2.0, 0.0, 0.8), Quaternion(-1.0, 1.5),
+         Quaternion(-1.5, 0.0, 1.5), Quaternion(-2.0, 0.0, 0.0, 1.5)], 0.3),
+}
+
+# each h as the complex path takes it, then as the s-contour path does,
+# which wants a sequence of values per node
+H_CASES = {
+    "scalar": (np.exp, lambda z: (np.exp(z),)),
+    "sequence": (lambda z: (np.exp(z), z * z, 1.0 / (z - 6.0)),) * 2,
+}
+
+
+def _contour_case(circles):
+    values, margin = CONTOUR_CASES[circles]
+    spheres = SphereSet(tuple((sphere_of(q), 1) for q in values), 1e-8)
+    contour = build_contour(spheres, entire_domain(), margin)
+    assert len(contour.circles) == circles
+    return _triangular(values, 229 + circles), contour
+
+
+def _route_sum(route, A, h, contour):
+    if route == "complex_path":
+        return riesz_dunford(complex_adjoint(A), h, contour)
+    return np.array([M.components() for M in _s_contour_value(A, h, contour)])
+
+
+@pytest.mark.parametrize("route", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("h_case", sorted(H_CASES))
+@pytest.mark.parametrize("circles", sorted(CONTOUR_CASES))
+def test_nested_trapezoid_matches_resolving_reference(monkeypatch, route,
+                                                      h_case, circles):
+    A, contour = _contour_case(circles)
+    h = H_CASES[h_case][route == "s_contour"]
+    got = _route_sum(route, A, h, contour)
+    monkeypatch.setattr(
+        qcalc, "_trapezoid",
+        lambda contour, h, at_nodes, size, nodes=32:
+            _resolving_trapezoid(contour, h, at_nodes, nodes))
+    want = _route_sum(route, A, h, contour)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _record_quadrature(monkeypatch):
+    """Stack lengths of every _checked_solve call, in call order."""
+    stacks = []
+
+    def solve(stack, what):
+        stacks.append(len(stack))
+        return checked_solve(stack, what)
+
+    checked_solve = qcalc._checked_solve
+    monkeypatch.setattr(qcalc, "_checked_solve", solve)
+    return stacks
+
+
+def _recording_h(route, seen):
+    h = H_CASES["scalar"][route == "s_contour"]
+
+    def recorded(z):
+        seen.append(np.array(z))
+        return h(z)
+    return recorded
+
+
+def _final_node_count(contour, z):
+    """N such that z holds every node of the N-point rule once, else fail."""
+    circles = contour.circles
+    count, rest = divmod(len(z), len(circles))
+    assert rest == 0 and count >= 64 and count % 32 == 0
+    assert (count // 32) & (count // 32 - 1) == 0, count
+    gap = [np.abs(np.abs(z - c.center) - c.radius) for c in circles]
+    owner = np.argmin(gap, axis=0)
+    for idx, c in enumerate(circles):
+        on = z[owner == idx]
+        assert np.abs(np.abs(on - c.center) - c.radius).max() < 1e-12
+        t = np.angle((on - c.center) / c.radius) * count / (2.0 * np.pi)
+        assert np.abs(t - np.rint(t)).max() < 1e-6
+        assert sorted(np.rint(t).astype(int) % count) == list(range(count))
+    return count
+
+
+@pytest.mark.parametrize("route", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("circles", sorted(CONTOUR_CASES))
+def test_nested_trapezoid_solves_each_node_once(monkeypatch, route, circles):
+    A, contour = _contour_case(circles)
+    stacks, seen = _record_quadrature(monkeypatch), []
+    _route_sum(route, A, _recording_h(route, seen), contour)
+    count = _final_node_count(contour, np.concatenate(seen))
+    # the solved nodes are the final rule's nodes, each solved once
+    assert sum(stacks) == len(contour.circles) * count
+    # at n <= 8 a level's new nodes on all circles fit one batch
+    size = 2 * A.n
+    assert len(contour.circles) * count // 2 <= qcalc._BATCH_ENTRIES // size**2
+    levels = int(math.log2(count // 32)) + 1
+    assert len(stacks) == levels
+    assert stacks[0] == 32 * len(contour.circles)
+
+
+@pytest.mark.parametrize("route", ["complex_path", "s_contour"])
+def test_nested_trapezoid_batches_stay_bounded_at_n64(monkeypatch, route):
+    n = 64
+    A = random_qmatrix(rng(233), n, scale=0.02)
+    contour = SliceContour((Circle(0j, 1.0), Circle(3.0 - 2.0j, 0.5),
+                            Circle(3.0 + 2.0j, 0.5)))
+    stacks, seen = _record_quadrature(monkeypatch), []
+    _route_sum(route, A, _recording_h(route, seen), contour)
+    count = _final_node_count(contour, np.concatenate(seen))
+    assert sum(stacks) == len(contour.circles) * count
+    assert max(stacks) == qcalc._BATCH_ENTRIES // (2 * n) ** 2
+
+
 # ---------------------------------------------------------------- calculus
 
 @pytest.mark.parametrize("method", ["complex_path", "s_contour"])

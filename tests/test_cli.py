@@ -352,3 +352,23 @@ def test_stdin_subprocess_round_trip(tmp_path):
     env = json.loads(proc.stdout.decode())
     sphere = env["payload"]["spheres"][0]
     assert abs(sphere["re"]) < 1e-12 and abs(sphere["im_norm"] - 1.0) < 1e-12
+
+
+def test_non_utf8_stdin_is_a_parse_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatspec.cli", "spectrum", "--input", "-"],
+        input=b"\xff\xfe", capture_output=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("error[ParseError]: ")
+    assert "Traceback" not in proc.stderr.decode()
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n": 1, "entries": [[[1, 0, 0, 0]]]} é'.encode("latin-1"))
+    with pytest.raises(ParseError):
+        parse_matrix(str(path))
+    code, env, err = run_cli(capsys, "spectrum", "--input", str(path))
+    assert code == 1 and env is None
+    assert err.startswith("error[ParseError]: ")

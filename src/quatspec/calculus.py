@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,6 +40,7 @@ from .errors import (
     UsageError,
 )
 from .operators import (
+    STRUCTURE_TOL,
     QMatrix,
     _embed,
     _pull_back,
@@ -95,9 +97,21 @@ class Circle(NamedTuple):
 
 @dataclass(frozen=True)
 class SliceContour:
-    """Disjoint positively oriented circles, closed under conjugation."""
+    """Disjoint positively oriented circles, closed under conjugation.
+
+    The quadrature pairs each node with its conjugate on the mirror
+    circle, so a circle without a mirror raises ValueError.
+    """
 
     circles: tuple[Circle, ...]
+
+    def __post_init__(self):
+        count = Counter(self.circles)
+        for c in self.circles:
+            if count[c] != count[c._replace(center=c.center.conjugate())]:
+                raise ValueError(
+                    f"circle at {c.center} of radius {c.radius} has no "
+                    "mirror circle: contours must be closed under conjugation")
 
     def encloses(self, z: complex) -> bool:
         return any(abs(complex(z) - c.center) < c.radius for c in self.circles)
@@ -230,6 +244,14 @@ def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
 
 # -- quadrature -------------------------------------------------------------
 
+def _with_mirrors(v: np.ndarray) -> np.ndarray:
+    """Each entry of v followed by its conjugate."""
+    out = np.empty(2 * v.size, dtype=complex)
+    out[::2] = v
+    np.conjugate(v, out=out[1::2])
+    return out
+
+
 def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
                size: int, nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
@@ -237,21 +259,35 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     Nested periodic trapezoid levels at a node count N per circle that
     doubles: the first level takes the angles k/N, each later level only
     the new odd angles (2k+1)/(2N), added to one raw sum that N divides,
-    so every node is solved once.  A level's nodes on all circles go out
-    in chunks of at most _BATCH_ENTRIES // size^2, size being the order
-    of the solved matrices: at_nodes maps a chunk to one array per node,
-    h to one value per node or, with a leading axis of p, p values per
-    node.  The convergence test is on the Frobenius norm of the whole sum.
+    so every node is solved once.  A level lays its nodes out in mirror
+    pairs: each node of a circle above the axis, or of the upper half of
+    a circle centred on it, is followed by its exact conjugate, which
+    stands for the node of the mirror circle; the nodes at angles 0 and
+    1/2 of an axis circle, exactly real, come last.  The nodes go out in
+    chunks of an even size, _BATCH_ENTRIES // size^2 rounded down but at
+    least 2, size being the order of the solved matrices, so no chunk
+    splits a pair and at_nodes can solve a pencil once per sphere.
+    at_nodes maps a chunk to one array per node, h to one value per node
+    or, with a leading axis of p, p values per node.  The convergence
+    test is on the Frobenius norm of the whole sum.
     """
-    centers = np.array([c.center for c in contour.circles])[:, None]
-    radii = np.array([c.radius for c in contour.circles])[:, None]
-    chunk = max(1, _BATCH_ENTRIES // (size * size))
+    # circles above the axis and on it; those below are their mirrors
+    reps = [c for c in contour.circles if c.center.imag >= 0.0]
+    centers = np.array([c.center for c in reps], dtype=complex)[:, None]
+    radii = np.array([c.radius for c in reps])[:, None]
+    upper = centers.imag > 0.0
+    chunk = max(2, _BATCH_ENTRIES // (size * size) // 2 * 2)
     count = max(4, nodes)
     angles = np.arange(count) / count
     raw, prev = 0.0, None
     while count <= NODE_CAP:
         dz = radii * np.exp(2j * np.pi * angles)
-        z, dz = (centers + dz).ravel(), dz.ravel()
+        z = centers + dz
+        paired = upper | ((0.0 < angles) & (angles < 0.5))
+        real = ~upper & ((angles == 0.0) | (angles == 0.5))
+        # cos(0) and cos(pi) round to exactly 1 and -1
+        z = np.concatenate([_with_mirrors(z[paired]), z[real].real])
+        dz = np.concatenate([_with_mirrors(dz[paired]), dz[real].real])
         for lo in range(0, z.size, chunk):
             zc = z[lo:lo + chunk]
             fv = np.asarray(h(zc)) * dz[lo:lo + chunk]
@@ -301,23 +337,32 @@ def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
 def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMatrix]:
     """One (1/2pi) integral of S_L(s, A) ds_i h_m(s) per value h_m of h.
 
-    S_L(s, A) = -Q_s(A)^-1 (A - conj(s) I), with the pencil inverted on
-    chi(Q_s(A)) and pulled back, its structure residual checked.
+    S_L(s, A) = -Q_s(A)^-1 (A - conj(s) I).  The pencil Q_s(A) depends on
+    s only through its sphere (Re s, |s|^2), so a chunk of nodes solves
+    it once per distinct sphere, mirror nodes s and conj(s) sharing one
+    solve: inverted on chi(Q_s(A)), pulled back with its structure
+    residual checked, and multiplied by A once.  Each node then costs
+    O(n^2), as S_L(s, A) = conj(s) Q_s(A)^-1 - Q_s(A)^-1 A.
     """
     sq = A.squared
     eye = np.eye(A.n)
 
     def resolvents(s: np.ndarray) -> np.ndarray:
-        two_re = 2.0 * s.real[:, None, None]
-        px = sq.x - two_re * A.x + (np.abs(s) ** 2)[:, None, None] * eye
+        # keys Re s + i |s|^2: bitwise equal for a node and its conjugate
+        keys, sphere = np.unique(s.real + 1j * np.abs(s) ** 2,
+                                 return_inverse=True)
+        two_re = 2.0 * keys.real[:, None, None]
+        px = sq.x - two_re * A.x + keys.imag[:, None, None] * eye
         py = sq.y - two_re * A.y
         inv = _checked_solve(_embed(px, py), "the pencil")
         qx, qy, resid = _pull_back(inv)
-        if np.any(resid > 1e-8 * (1.0 + np.linalg.norm(inv, axis=(-2, -1)))):
+        scale = 1.0 + np.linalg.norm(inv, axis=(-2, -1))
+        if np.any(resid > STRUCTURE_TOL * scale):
             raise StructureViolation("pencil inverse lost its block structure")
-        bx = A.x - np.conj(s)[:, None, None] * eye
-        return -np.stack([qx @ bx - np.conj(qy) @ A.y,
-                          qy @ bx + np.conj(qx) @ A.y], axis=1)
+        q_inv = np.stack([qx, qy], axis=1)
+        q_inv_a = np.stack([qx @ A.x - np.conj(qy) @ A.y,
+                            qy @ A.x + np.conj(qx) @ A.y], axis=1)
+        return np.conj(s)[:, None, None, None] * q_inv[sphere] - q_inv_a[sphere]
 
     return [QMatrix(rx, ry)
             for rx, ry in _trapezoid(contour, h, resolvents, 2 * A.n)]
@@ -354,7 +399,7 @@ def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
     h = _slice_values(f)
     if method == "complex_path":
         stack = riesz_dunford(complex_adjoint(A), h, contour)
-        parts = [from_complex_adjoint(B, tol=1e-8) for B in stack]
+        parts = [from_complex_adjoint(B, tol=STRUCTURE_TOL) for B in stack]
     elif method == "s_contour":
         parts = _s_contour_value(A, h, contour)
     else:

@@ -32,7 +32,7 @@ from .calculus import (
     verify_theorems,
 )
 from .errors import NonFiniteEntry, NonSquare, ParseError, QuatSpecError
-from .operators import QMatrix
+from .operators import STRUCTURE_TOL, QMatrix
 from .quaternion import Quaternion
 from .slicefn import catalog
 from .spectrum import (
@@ -178,6 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# quadrature sums pulled back to quaternion matrices
+_QUADRATURE_TOLERANCES = {"quadrature": QUAD_REL_TOL, "structure": STRUCTURE_TOL}
+
+
+def _solve_tolerances(method: str) -> dict:
+    """Series truncate at the library default; direct solves pull back."""
+    if method in ("series", "neumann"):
+        return {"truncation": 1e-12}
+    return {"structure": STRUCTURE_TOL}
+
+
 def _run(args, raw: bytes) -> tuple[dict, dict, int]:
     """Dispatch one parsed command; returns payload, tolerances, exit code."""
     A = parse_matrix_text(_decode(raw))
@@ -196,27 +207,27 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
         R = s_resolvent(A, s, args.side, args.method)
         payload = {"matrix": matrix_payload(R), "side": args.side,
                    "method": args.method}
-        return payload, {"truncation": 1e-12}, 0
+        return payload, _solve_tolerances(args.method), 0
     if cmd == "pencil-inverse":
         q = _parse_at(args.at)
         P = q_pencil_inverse(A, q, args.method)
         payload = {"matrix": matrix_payload(P), "method": args.method}
-        return payload, {"truncation": 1e-12}, 0
+        return payload, _solve_tolerances(args.method), 0
     if cmd == "calculus":
         f = catalog(args.fn)
         V = calculus_sided(A, f, method=args.method)
         payload = {"matrix": matrix_payload(V), "fn": args.fn,
                    "method": args.method, "kind": f.kind}
-        return payload, {"quadrature": QUAD_REL_TOL}, 0
+        return payload, _QUADRATURE_TOLERANCES, 0
     if cmd == "exp":
         return {"matrix": matrix_payload(op_exp(A))}, {"series": 1e-16}, 0
     if cmd == "log":
         payload = {"matrix": matrix_payload(op_log(A))}
-        return payload, {"quadrature": QUAD_REL_TOL}, 0
+        return payload, _QUADRATURE_TOLERANCES, 0
     if cmd == "root":
         payload = {"matrix": matrix_payload(op_nth_root(A, args.n)),
                    "order": args.n}
-        return payload, {"quadrature": QUAD_REL_TOL}, 0
+        return payload, _QUADRATURE_TOLERANCES, 0
     if cmd == "distance":
         geo, via = distance_to_spectrum(A, args.alpha)
         payload = {"alpha": args.alpha, "geometric": geo, "via_radius": via}

@@ -302,6 +302,11 @@ def adjoint_structure_residual(M: np.ndarray) -> float:
     return float(_pull_back(M)[2])
 
 
+# structure residual bound, relative to 1 + ||M||_F, on every pull-back of
+# a computed inverse or quadrature sum
+STRUCTURE_TOL = 1e-8
+
+
 def from_complex_adjoint(M: np.ndarray, tol: float = 1e-9) -> QMatrix:
     """Invert the embedding, averaging the redundant blocks.
 

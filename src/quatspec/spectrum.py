@@ -29,6 +29,7 @@ from .errors import (
     Singular,
 )
 from .operators import (
+    STRUCTURE_TOL,
     QMatrix,
     complex_adjoint,
     from_complex_adjoint,
@@ -288,7 +289,7 @@ def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
     smin = np.linalg.svd(M, compute_uv=False)[-1]
     if smin <= floor:
         raise Singular(f"{what} is singular (smin = {smin:.3e})")
-    return from_complex_adjoint(np.linalg.inv(M), tol=1e-8)
+    return from_complex_adjoint(np.linalg.inv(M), tol=STRUCTURE_TOL)
 
 
 def q_pencil_inverse(A: QMatrix, q, method: str = "direct",

@@ -117,6 +117,16 @@ def test_contour_invariants_random():
             assert contour.encloses(complex(sph.re, -sph.im_norm))
 
 
+def test_contour_requires_mirror_circles():
+    with pytest.raises(ValueError, match=r"circle at \(1\+1j\) of radius 0.5"):
+        SliceContour((Circle(1 + 1j, 0.5),))
+    # a real-centred circle is its own mirror; a pair must come in full
+    SliceContour((Circle(1 + 0j, 0.5), Circle(1 - 1j, 0.4), Circle(1 + 1j, 0.4)))
+    with pytest.raises(ValueError, match="no mirror circle"):
+        SliceContour((Circle(1 - 1j, 0.4), Circle(1 + 1j, 0.4),
+                      Circle(1 + 1j, 0.4)))
+
+
 def test_contour_domain_too_tight():
     # a sphere sitting on the log cut can never be enclosed
     with pytest.raises(DomainTooTight):
@@ -325,21 +335,43 @@ def _final_node_count(contour, z):
     return count
 
 
+def _solves(route, contour, count):
+    """Systems a route solves for the count-point rule on the contour.
+
+    The complex path solves every node; the s-contour path solves one
+    pencil per sphere, which a node shares with its conjugate: N per
+    pair of mirror circles and N/2 + 1 per real-centred circle.
+    """
+    if route == "complex_path":
+        return len(contour.circles) * count
+    axis = sum(c.center.imag == 0.0 for c in contour.circles)
+    return (len(contour.circles) - axis) // 2 * count + axis * (count // 2 + 1)
+
+
+def _spheres(z):
+    """Distinct spheres (Re z, |z|^2) among the nodes, compared bitwise."""
+    return len(set(zip(z.real, np.abs(z) ** 2)))
+
+
 @pytest.mark.parametrize("route", ["complex_path", "s_contour"])
 @pytest.mark.parametrize("circles", sorted(CONTOUR_CASES))
 def test_nested_trapezoid_solves_each_node_once(monkeypatch, route, circles):
     A, contour = _contour_case(circles)
     stacks, seen = _record_quadrature(monkeypatch), []
     _route_sum(route, A, _recording_h(route, seen), contour)
-    count = _final_node_count(contour, np.concatenate(seen))
-    # the solved nodes are the final rule's nodes, each solved once
-    assert sum(stacks) == len(contour.circles) * count
+    z = np.concatenate(seen)
+    count = _final_node_count(contour, z)
+    # the solved systems are the final rule's nodes, or for s_contour its
+    # distinct spheres, each solved once
+    assert sum(stacks) == _solves(route, contour, count)
+    if route == "s_contour":
+        assert sum(stacks) == _spheres(z)
     # at n <= 8 a level's new nodes on all circles fit one batch
     size = 2 * A.n
     assert len(contour.circles) * count // 2 <= qcalc._BATCH_ENTRIES // size**2
     levels = int(math.log2(count // 32)) + 1
     assert len(stacks) == levels
-    assert stacks[0] == 32 * len(contour.circles)
+    assert stacks[0] == _solves(route, contour, 32)
 
 
 @pytest.mark.parametrize("route", ["complex_path", "s_contour"])
@@ -350,9 +382,100 @@ def test_nested_trapezoid_batches_stay_bounded_at_n64(monkeypatch, route):
                             Circle(3.0 + 2.0j, 0.5)))
     stacks, seen = _record_quadrature(monkeypatch), []
     _route_sum(route, A, _recording_h(route, seen), contour)
-    count = _final_node_count(contour, np.concatenate(seen))
-    assert sum(stacks) == len(contour.circles) * count
-    assert max(stacks) == qcalc._BATCH_ENTRIES // (2 * n) ** 2
+    z = np.concatenate(seen)
+    count = _final_node_count(contour, z)
+    assert sum(stacks) == _solves(route, contour, count)
+    bound = qcalc._BATCH_ENTRIES // (2 * n) ** 2
+    if route == "complex_path":
+        assert max(stacks) == bound
+    else:
+        assert sum(stacks) == _spheres(z)
+        assert max(stacks) <= bound
+
+
+def test_mirror_pairs_share_a_chunk_at_an_odd_bound(monkeypatch):
+    # at n = 48 the bound is 7 nodes; chunks of 6 keep each pair together
+    n = 48
+    assert qcalc._BATCH_ENTRIES // (2 * n) ** 2 == 7
+    A = random_qmatrix(rng(239), n, scale=0.02)
+    contour = SliceContour((Circle(0j, 1.0),))
+    stacks, seen = _record_quadrature(monkeypatch), []
+    _route_sum("s_contour", A, _recording_h("s_contour", seen), contour)
+    z = np.concatenate(seen)
+    count = _final_node_count(contour, z)
+    assert sum(stacks) == _solves("s_contour", contour, count) == _spheres(z)
+    assert max(stacks) == 3
+
+
+def _per_node_s_contour_value(A, h, contour):
+    """The s-contour sum that solved one pencil per node: the reference."""
+    sq = A.squared
+    eye = np.eye(A.n)
+
+    def resolvents(s):
+        two_re = 2.0 * s.real[:, None, None]
+        px = sq.x - two_re * A.x + (np.abs(s) ** 2)[:, None, None] * eye
+        py = sq.y - two_re * A.y
+        inv = qcalc._checked_solve(qcalc._embed(px, py), "the pencil")
+        qx, qy, resid = qcalc._pull_back(inv)
+        assert np.all(resid <= 1e-8 * (1.0 + np.linalg.norm(inv, axis=(-2, -1))))
+        bx = A.x - np.conj(s)[:, None, None] * eye
+        return -np.stack([qx @ bx - np.conj(qy) @ A.y,
+                          qy @ bx + np.conj(qx) @ A.y], axis=1)
+
+    return [QMatrix(rx, ry)
+            for rx, ry in qcalc._trapezoid(contour, h, resolvents, 2 * A.n)]
+
+
+@pytest.mark.parametrize("h_case", sorted(H_CASES))
+@pytest.mark.parametrize("circles", sorted(CONTOUR_CASES))
+def test_sphere_solves_match_per_node_resolvents(h_case, circles):
+    A, contour = _contour_case(circles)
+    h = H_CASES[h_case][1]
+    got = np.array([M.components() for M in _s_contour_value(A, h, contour)])
+    want = np.array([M.components()
+                     for M in _per_node_s_contour_value(A, h, contour)])
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mirror_nodes_share_bitwise_pencils(monkeypatch):
+    A, contour = _contour_case(5)
+    axis = [c for c in contour.circles if c.center.imag == 0.0]
+    assert axis and len(axis) < len(contour.circles)
+    pencils, seen = [], []
+
+    def solve(stack, what):
+        pencils.extend(p.tobytes() for p in stack)
+        return checked_solve(stack, what)
+
+    checked_solve = qcalc._checked_solve
+    monkeypatch.setattr(qcalc, "_checked_solve", solve)
+    _route_sum("s_contour", A, _recording_h("s_contour", seen), contour)
+    z = np.concatenate(seen)
+    # every node's exact conjugate is a node, unless the node is real
+    nodes = set(z.tolist())
+    assert all(v.imag == 0.0 or v.conjugate() in nodes for v in nodes)
+    # the angle 0 and 1/2 nodes of real-centred circles are exactly real
+    for c in axis:
+        for end in (c.center.real + c.radius, c.center.real - c.radius):
+            near = z[np.abs(z - end) < 1e-9 * (1.0 + abs(end))]
+            assert near.tolist() == [complex(end, 0.0)]
+    # the pencil built per node as the per-node route built it, at s and
+    # at conj(s), is bitwise one of the solved pencils, each solved once
+    sq = A.squared
+
+    def pencil(s):
+        s = np.array([s])
+        two_re = 2.0 * s.real[:, None, None]
+        px = sq.x - two_re * A.x + (np.abs(s) ** 2)[:, None, None] * np.eye(A.n)
+        return qcalc._embed(px, sq.y - two_re * A.y)[0].tobytes()
+
+    per_node = {v: pencil(v) for v in nodes}
+    assert all(per_node[v] == per_node[v.conjugate()]
+               for v in nodes if v.imag != 0.0)
+    assert len(pencils) == len(set(pencils)) == len(set(per_node.values()))
+    assert set(pencils) == set(per_node.values())
 
 
 # ---------------------------------------------------------------- calculus
@@ -549,15 +672,22 @@ def test_sided_call_makes_one_pass(monkeypatch, method):
                         counted("nodes", qcalc._checked_solve,
                                 lambda stack, what: len(stack)))
     f = catalog(SIDED_NAMES["monoL"])
-    f = StemFunction(counted("pair", f.pair,
+    pair = counted("spheres", f.pair, lambda a, b: len(set(zip(
+        *(np.ravel(v) for v in np.broadcast_arrays(a, b))))))
+    f = StemFunction(counted("pair", pair,
                              lambda a, b: np.broadcast(a, b).size),
                      f.domain, f.kind, f.label)
     calculus_sided(random_qmatrix(rng(191), 3, scale=0.7), f, method=method)
     assert calls["spectrum"] == calls["contour"] == 1
     assert calls["nodes"] > 0
-    # one stem read per solved node, in one pair call per batch of solves
-    assert calls["pair"] == calls["nodes"]
+    # one stem read per node, in one pair call per batch of solves
     assert calls["pair calls"] == calls["nodes calls"]
+    # complex_path solves each node, s_contour each sphere (alpha, beta)
+    # of a batch once
+    solved = calls["pair"] if method == "complex_path" else calls["spheres"]
+    assert calls["nodes"] == solved
+    if method == "s_contour":
+        assert calls["nodes"] < calls["pair"]
 
 
 def _j_valued_intrinsic_claim():

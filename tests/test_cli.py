@@ -219,6 +219,37 @@ def test_exp_log_root_commands(tmp_path, capsys):
     assert out.entry(0, 0) == Quaternion(1.0)
 
 
+STRUCTURE = {"structure": 1e-8}
+QUADRATURE = {"quadrature": 1e-10, "structure": 1e-8}
+
+
+@pytest.mark.parametrize("argv, tolerances", [
+    (["spectrum"], {"cluster": 1e-8}),
+    (["radius", "--method", "eig"], {}),
+    (["radius", "--method", "power"], {}),
+    (["resolvent", "--at", "6,0,1,0"], STRUCTURE),
+    (["resolvent", "--at", "6,0,1,0", "--method", "series"],
+     {"truncation": 1e-12}),
+    (["pencil-inverse", "--at", "6,0,1,0"], STRUCTURE),
+    (["pencil-inverse", "--at", "6,0,1,0", "--method", "neumann"],
+     {"truncation": 1e-12}),
+    (["calculus", "--fn", "exp"], QUADRATURE),
+    (["calculus", "--fn", "exp", "--method", "s_contour"], QUADRATURE),
+    (["exp"], {"series": 1e-16}),
+    (["log"], QUADRATURE),
+    (["root", "--n", "2"], QUADRATURE),
+    (["distance", "--alpha", "0"], {"cross_check": 1e-6}),
+    (["verify", "--suite", "polynomial"], {"suite": 1e-8}),
+])
+def test_each_command_reports_the_tolerances_it_used(tmp_path, capsys, argv,
+                                                     tolerances):
+    path = write_matrix(tmp_path, "four.json",
+                        QMatrix.from_entries([[Quaternion(4.0)]]))
+    code, env, _ = run_cli(capsys, *argv, "--input", path)
+    assert code == 0
+    assert env["tolerances"] == tolerances
+
+
 def test_distance_command(tmp_path, capsys):
     path = write_matrix(tmp_path, "two.json",
                         QMatrix.from_entries([[Quaternion(2.0)]]))

@@ -125,6 +125,15 @@ class QMatrix:
     def squared(self) -> "QMatrix":
         return self @ self
 
+    @cached_property
+    def chi_eigenvalues(self) -> np.ndarray:
+        """Certified eigenvalues of chi(A), sorted, read-only, solved once."""
+        from . import spectrum  # late: spectrum imports this module
+
+        lam = spectrum.eigenvalues(complex_adjoint(self))
+        lam.flags.writeable = False
+        return lam
+
     # -- algebra -----------------------------------------------------------
 
     def _check_same_n(self, other):

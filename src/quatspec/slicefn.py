@@ -347,40 +347,36 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
         fd_step = 1e-5 * max(amax - amin, bmax)
     h = fd_step
 
-    cr = 0.0
-    samples = 0
-    for ia in range(grid):
-        for ib in range(grid):
-            a = amin + (ia + 0.5) * (amax - amin) / grid
-            b = (ib + 0.5) * bmax / grid
-            stencil = ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))
-            if not all(f.domain.contains(*p) for p in stencil):
-                continue
-            # rows 0 and 1 of da, db: the derivatives of f0 and of f1
-            da = np.subtract(f.stems(a + h, b), f.stems(a - h, b)) / (2 * h)
-            db = np.subtract(f.stems(a, b + h), f.stems(a, b - h)) / (2 * h)
-            cr = max(cr, np.linalg.norm(da[0] - db[1]),
-                     np.linalg.norm(db[0] + da[1]))
-            samples += 1
+    def cells(count):
+        a = amin + (np.arange(count) + 0.5) * (amax - amin) / count
+        b = (np.arange(count) + 0.5) * bmax / count
+        return np.meshgrid(a, b, indexing="ij")
 
-    compat = 0.0
-    for ia in range(grid):
-        a = amin + (ia + 0.5) * (amax - amin) / grid
-        if f.domain.contains(a, 0.0):
-            compat = max(compat, np.linalg.norm(f.pair(a, 0.0)[1]))
-            samples += 1
+    def worst(v) -> float:
+        return float(np.linalg.norm(v, axis=-1).max(initial=0.0))
+
+    a, b = cells(grid)
+    stencil = ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))
+    keep = np.logical_and.reduce([f.domain.contains(*p) for p in stencil])
+    a, b = a[keep], b[keep]
+    # rows 0 and 1 of da, db: the derivatives of f0 and of f1
+    da = np.subtract(f.stems(a + h, b), f.stems(a - h, b)) / (2 * h)
+    db = np.subtract(f.stems(a, b + h), f.stems(a, b - h)) / (2 * h)
+    cr = max(worst(da[0] - db[1]), worst(db[0] + da[1]))
+    samples = a.size
+
+    a = amin + (np.arange(grid) + 0.5) * (amax - amin) / grid
+    a = a[f.domain.contains(a, 0.0)]
+    compat = worst(f.pair(a, np.zeros_like(a))[1])
+    samples += a.size
 
     intrinsic = 0.0
     if f.kind == INTRINSIC:
-        for ia in range(grid // 2):
-            for ib in range(grid // 2):
-                a = amin + (ia + 0.5) * (amax - amin) / (grid // 2)
-                b = (ib + 0.5) * bmax / (grid // 2)
-                if not f.domain.contains(a, b):
-                    continue
-                for v in f.pair(a, b):
-                    intrinsic = max(intrinsic, np.linalg.norm(v[1:]))
-                samples += 1
+        a, b = cells(grid // 2)
+        keep = f.domain.contains(a, b)
+        v0, v1 = f.pair(a[keep], b[keep])
+        intrinsic = max(worst(v0[..., 1:]), worst(v1[..., 1:]))
+        samples += int(keep.sum())
 
     return ValidationReport(
         compat_residual=compat,

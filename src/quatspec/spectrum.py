@@ -172,16 +172,16 @@ def _cluster(points: list[tuple[float, float]], tol: float) -> list[list[int]]:
 
 
 def s_spectrum(A: QMatrix, tol: float | None = None) -> SphereSet:
-    """Conjugation spheres of the eigenvalues of chi(A).
+    """Conjugation spheres of the eigenvalues of chi(A), A.chi_eigenvalues.
 
-    Eigenvalues are clustered in the (re, |im|) half plane with the given
-    tolerance (default 1e-8 * (1 + ||A||)).  A cluster on the real axis
-    must contain an even number of eigenvalues, half of which count
-    toward its multiplicity; otherwise OddRealMultiplicity is raised.
+    Every tolerance (default 1e-8 * (1 + ||A||)) clusters that one solve
+    in the (re, |im|) half plane.  A cluster on the real axis must hold
+    an even number of eigenvalues, half of which count toward its
+    multiplicity; otherwise OddRealMultiplicity is raised.
     """
     if tol is None:
         tol = 1e-8 * (1.0 + A.norm)
-    lam = eigenvalues(complex_adjoint(A))
+    lam = A.chi_eigenvalues
     pts = [(float(lv.real), float(abs(lv.imag))) for lv in lam]
     spheres: list[tuple[Sphere, int]] = []
     for members in _cluster(pts, tol):
@@ -210,13 +210,12 @@ def s_spectrum(A: QMatrix, tol: float | None = None) -> SphereSet:
 def s_spectral_radius(A: QMatrix, method: str = "eig") -> float:
     """Largest norm over the S-spectrum.
 
-    "eig" reads it off chi(A).  "power" estimates lim ||A^N||^(1/N) by
-    repeated squaring with renormalization, halting when successive
-    estimates agree to 1 percent.
+    "eig" reads it off the eigenvalues of chi(A), A.chi_eigenvalues.
+    "power" estimates lim ||A^N||^(1/N) by repeated squaring with
+    renormalization, halting when estimates agree to 1 percent.
     """
     if method == "eig":
-        lam = eigenvalues(complex_adjoint(A))
-        return float(max(abs(lam)))
+        return float(max(abs(A.chi_eigenvalues)))
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     nrm = A.norm

@@ -102,7 +102,6 @@ def test_contour_invariants_random():
         assert len(circles) >= 1
         centers = {(c.center.real, c.center.imag) for c in circles}
         for c in circles:
-            assert c.orientation == 1
             assert c.radius > 0
             # closed under conjugation of centers
             assert (c.center.real, -c.center.imag) in centers
@@ -125,6 +124,14 @@ def test_contour_requires_mirror_circles():
     with pytest.raises(ValueError, match="no mirror circle"):
         SliceContour((Circle(1 - 1j, 0.4), Circle(1 + 1j, 0.4),
                       Circle(1 + 1j, 0.4)))
+
+
+def test_circle_has_no_orientation_argument():
+    # the quadrature integrates counterclockwise only, so a clockwise
+    # flag would be silently ignored
+    assert Circle._fields == ("center", "radius")
+    with pytest.raises(TypeError):
+        Circle(1 + 0j, 0.5, -1)
 
 
 def test_contour_domain_too_tight():
@@ -786,7 +793,40 @@ def test_root_degenerate_arguments():
         op_nth_root(A, -2)
 
 
+def _record_eigen_solves(monkeypatch) -> list[bytes]:
+    """Bytes of the matrix of every eigen-solve, whoever asks for it."""
+    seen = []
+    eig = np.linalg.eig
+
+    def counted(M):
+        seen.append(np.asarray(M).tobytes())
+        return eig(M)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return seen
+
+
+@pytest.mark.parametrize("op", [op_log, lambda A: op_nth_root(A, 3)],
+                         ids=["log", "root"])
+def test_log_and_root_solve_the_spectrum_once(monkeypatch, op):
+    B = random_qmatrix(rng(171), 3)
+    A = B + QMatrix.identity(3) * (B.norm * 1.2 + 0.5)
+    seen = _record_eigen_solves(monkeypatch)
+    op(A)
+    # the cut check and the calculus's spectrum share one solve
+    assert len(seen) == 1
+
+
 # ---------------------------------------------------------------- theorem suites
+
+def test_suites_solve_each_distinct_matrix_once(monkeypatch):
+    A = random_qmatrix(rng(173), 3, scale=0.7)
+    seen = _record_eigen_solves(monkeypatch)
+    for suite in SUITE_NAMES:
+        verify_theorems(A, suite)
+    assert len(seen) == len(set(seen))
+    assert complex_adjoint(A).tobytes() in seen
+
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suites_pass_on_random_matrix(suite):

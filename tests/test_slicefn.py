@@ -406,12 +406,51 @@ def test_decompose_pieces_read_the_pair_once():
 
 
 def test_validate_reads_the_pair_once_per_sample():
-    f, fc = _counted("exp")
-    grid = 4
-    validate(f, grid=grid)
-    # four stencil neighbours per CR sample, one read per compatibility
-    # and per intrinsic sample; the entire domain keeps every sample
-    assert fc.calls == 4 * grid * grid + grid + (grid // 2) ** 2
+    # one read over all samples per stencil direction, one for the
+    # compatibility samples on the real axis, one for the intrinsic grid
+    for grid in (1, 4, 9):
+        f, fc = _counted("exp")
+        validate(f, grid=grid)
+        assert fc.calls == 4 + 1 + 1
+
+
+def _per_sample_validate(f, grid=32, tol=1e-6):
+    """validate as a loop of scalar stem reads, one sample at a time."""
+    amin, amax, bmax = f.domain.box
+    h = 1e-5 * max(amax - amin, bmax)
+    cr = 0.0
+    samples = 0
+    for ia in range(grid):
+        for ib in range(grid):
+            a = amin + (ia + 0.5) * (amax - amin) / grid
+            b = (ib + 0.5) * bmax / grid
+            stencil = ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))
+            if not all(f.domain.contains(*p) for p in stencil):
+                continue
+            da = np.subtract(f.stems(a + h, b), f.stems(a - h, b)) / (2 * h)
+            db = np.subtract(f.stems(a, b + h), f.stems(a, b - h)) / (2 * h)
+            cr = max(cr, np.linalg.norm(da[0] - db[1]),
+                     np.linalg.norm(db[0] + da[1]))
+            samples += 1
+    compat = 0.0
+    for ia in range(grid):
+        a = amin + (ia + 0.5) * (amax - amin) / grid
+        if f.domain.contains(a, 0.0):
+            compat = max(compat, np.linalg.norm(f.pair(a, 0.0)[1]))
+            samples += 1
+    intrinsic = 0.0
+    if f.kind == INTRINSIC:
+        for ia in range(grid // 2):
+            for ib in range(grid // 2):
+                a = amin + (ia + 0.5) * (amax - amin) / (grid // 2)
+                b = (ib + 0.5) * bmax / (grid // 2)
+                if not f.domain.contains(a, b):
+                    continue
+                for v in f.pair(a, b):
+                    intrinsic = max(intrinsic, np.linalg.norm(v[1:]))
+                samples += 1
+    return samples, compat, cr, intrinsic, (compat <= tol, cr <= tol,
+                                            f.kind != INTRINSIC or intrinsic <= tol)
 
 
 # -- slice values of the pieces -------------------------------------------
@@ -419,6 +458,20 @@ def test_validate_reads_the_pair_once_per_sample():
 CATALOG_NAMES = ("exp", "log", "sqrt", "pow:3", "pow:-2", "poly:[1, -2, 0, 1]",
                  "ratpoly:[1, 0, 1]/[2, 1]", "monoL:[[0.5, -1, 2, 0.25], 3]",
                  "monoR:[[-0.7, 0.2, 0, 0.4], 2]")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_validate_matches_per_sample_reference(name):
+    f = catalog(name)
+    samples, compat, cr, intrinsic, passes = _per_sample_validate(f)
+    got = validate(f)
+    assert got.samples == samples
+    assert (got.compat_pass, got.cr_pass, got.intrinsic_pass) == passes
+    # array and scalar numpy math differ in the last bits, which the
+    # finite differences divide by 2 fd_step
+    assert got.compat_residual == pytest.approx(compat, abs=1e-8)
+    assert got.cr_residual == pytest.approx(cr, abs=1e-8)
+    assert got.intrinsic_residual == pytest.approx(intrinsic, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import quatspec.spectrum as qspec
 from quatspec import (
     AlphaInSpectrum,
     I,
@@ -107,6 +108,44 @@ def test_eigenvalues_unreachable_tolerance_raises():
     M = complex_adjoint(random_qmatrix(rng(19), 4))
     with pytest.raises(NoConvergence):
         eigenvalues(M, tol=1e-20)
+
+
+# --------------------------------------------------------- the eigen record
+
+def test_chi_eigenvalues_is_one_read_only_solve(monkeypatch):
+    A = random_qmatrix(rng(23), 4)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
+    lam = A.chi_eigenvalues
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    assert A.chi_eigenvalues is lam
+    np.testing.assert_array_equal(lam, eigenvalues(complex_adjoint(A)))
+    calls.clear()
+    # every tolerance clusters the same solve, and the radius reads it too
+    loose = s_spectrum(A, 1e-3)
+    assert s_spectrum(A).total_multiplicity() == loose.total_multiplicity()
+    assert s_spectral_radius(A, "eig") == float(max(abs(lam)))
+    assert calls == []
+
+
+def test_chi_eigenvalues_does_not_cache_a_failure(monkeypatch):
+    A = random_qmatrix(rng(29), 3)
+    calls = []
+
+    def failing(M, tol=1e-8):
+        calls.append(1)
+        raise NoConvergence("planted failure")
+
+    monkeypatch.setattr(qspec, "eigenvalues", failing)
+    for _ in range(2):
+        with pytest.raises(NoConvergence, match="planted failure"):
+            A.chi_eigenvalues
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert s_spectrum(A).total_multiplicity() == 3
 
 
 # ----------------------------------------------------------------- s_spectrum

@@ -40,10 +40,9 @@ from .errors import (
     UsageError,
 )
 from .operators import (
-    STRUCTURE_TOL,
     QMatrix,
+    _checked_pull_back,
     _embed,
-    _pull_back,
     complex_adjoint,
     from_complex_adjoint,
 )
@@ -85,6 +84,8 @@ __all__ = [
 
 NODE_CAP = 1 << 16
 QUAD_REL_TOL = 1e-10
+EXP_SERIES_TOL = 1e-16  # relative size of the last exponential series term
+SUITE_TOL = 1e-8  # largest discrepancy a verify suite passes with
 _BATCH_ENTRIES = 1 << 16  # matrix entries per batched solve
 
 
@@ -352,11 +353,7 @@ def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMa
         two_re = 2.0 * keys.real[:, None, None]
         px = sq.x - two_re * A.x + keys.imag[:, None, None] * eye
         py = sq.y - two_re * A.y
-        inv = _checked_solve(_embed(px, py), "the pencil")
-        qx, qy, resid = _pull_back(inv)
-        scale = 1.0 + np.linalg.norm(inv, axis=(-2, -1))
-        if np.any(resid > STRUCTURE_TOL * scale):
-            raise StructureViolation("pencil inverse lost its block structure")
+        qx, qy = _checked_pull_back(_checked_solve(_embed(px, py), "the pencil"))
         q_inv = np.stack([qx, qy], axis=1)
         q_inv_a = np.stack([qx @ A.x - np.conj(qy) @ A.y,
                             qy @ A.x + np.conj(qx) @ A.y], axis=1)
@@ -376,7 +373,7 @@ def calculus_intrinsic(A: QMatrix, f: StemFunction,
     return calculus_sided(A, f, method=method)
 
 
-def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
+def calculus_sided(A: QMatrix, f: StemFunction,
                    method: str = "complex_path") -> QMatrix:
     """f(A) for f of any kind, in one quadrature pass over all pieces.
 
@@ -385,8 +382,6 @@ def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
     the left S-resolvent of A.  The pieces recombine with 1, i, j, k: on
     the left for a right function, else on the right.
     """
-    if f.kind != INTRINSIC and kind is not None and kind != f.kind:
-        raise ValueError(f"requested kind {kind!r} but f is {f.kind!r}")
     spheres = s_spectrum(A)
     for sph, _ in spheres.spheres:
         if not f.domain.contains(sph.re, sph.im_norm):
@@ -397,7 +392,7 @@ def calculus_sided(A: QMatrix, f: StemFunction, kind: str | None = None,
     h = _slice_values(f)
     if method == "complex_path":
         stack = riesz_dunford(complex_adjoint(A), h, contour)
-        parts = [from_complex_adjoint(B, tol=STRUCTURE_TOL) for B in stack]
+        parts = [from_complex_adjoint(B) for B in stack]
     elif method == "s_contour":
         parts = _s_contour_value(A, h, contour)
     else:
@@ -418,7 +413,7 @@ def op_exp(A: QMatrix) -> QMatrix:
     for k in range(1, 200):
         term = (term @ B) * (1.0 / k)
         total = total + term
-        if term.norm <= 1e-16 * (1.0 + total.norm):
+        if term.norm <= EXP_SERIES_TOL * (1.0 + total.norm):
             break
     else:
         raise NoConvergence("exponential series failed to truncate")
@@ -490,22 +485,14 @@ def _rel(diff: float, ref: float) -> float:
 
 def _mapping_gap(spheres: SphereSet, f: StemFunction, B: QMatrix) -> float:
     """Distance from the spectrum of B = f(A) to f's image of A's spheres."""
-    h, tol = restrict_to_slice(f), spheres.tol * 10
-    # images of distinct spheres may collide; merge within tolerance
-    merged: list[tuple[Sphere, int]] = []
-    for sph, m in spheres.spheres:
-        w = complex(h(sph.representative))
-        for i, (other, om) in enumerate(merged):
-            if other.param_distance(w.real, w.imag) <= tol:
-                merged[i] = (other, om + m)
-                break
-        else:
-            merged.append((Sphere(w.real, abs(w.imag)), m))
-    image = SphereSet(tuple(merged), tol)
+    h = restrict_to_slice(f)
+    ws = [complex(h(s.representative)) for s, _ in spheres.spheres]
+    image = SphereSet(tuple((Sphere(w.real, abs(w.imag)), m) for w, (_, m)
+                            in zip(ws, spheres.spheres)), spheres.tol)
     return s_spectrum(B).match_distance(image) / (1.0 + image.max_abs())
 
 
-def _suite_product(A, tol, rng):
+def _suite_product(A, rng):
     f_exp = catalog("exp")
     g_poly = catalog("poly:[1, 0, -0.5]")
     fa = calculus_intrinsic(A, f_exp)
@@ -530,7 +517,7 @@ def _suite_product(A, tol, rng):
     return cases
 
 
-def _suite_mapping(A, tol, rng):
+def _suite_mapping(A, rng):
     cases = []
     spheres = s_spectrum(A)
     for name in ("exp", "poly:[0, 1, 0, 0.25]", "sqrt"):
@@ -545,7 +532,7 @@ def _suite_mapping(A, tol, rng):
     return cases
 
 
-def _suite_composition(A, tol, rng):
+def _suite_composition(A, rng):
     cases = []
     f_inner = catalog("poly:[0.3, 0, 0.5]")
     g_exp = catalog("exp")
@@ -562,7 +549,7 @@ def _suite_composition(A, tol, rng):
     return cases
 
 
-def _suite_polynomial(A, tol, rng):
+def _suite_polynomial(A, rng):
     cases = []
     spheres = s_spectrum(A)
     for trial in range(2):
@@ -582,7 +569,7 @@ def _suite_polynomial(A, tol, rng):
     return cases
 
 
-def _suite_distance(A, tol, rng):
+def _suite_distance(A, rng):
     cases = []
     top = s_spectrum(A).max_abs()
     for trial in range(3):
@@ -593,7 +580,7 @@ def _suite_distance(A, tol, rng):
     return cases
 
 
-def _suite_resolvent_series(A, tol, rng):
+def _suite_resolvent_series(A, rng):
     cases = []
     radius = 2.0 * A.norm + 1.0
     for trial in range(2):
@@ -617,7 +604,7 @@ _SUITES = {
 }
 
 
-def verify_theorems(A: QMatrix, suite: str, tol: float = 1e-8) -> TheoremReport:
+def verify_theorems(A: QMatrix, suite: str, tol: float = SUITE_TOL) -> TheoremReport:
     """Run one named identity suite against A and report discrepancies.
 
     Random ingredients are drawn from a fixed seed, so reports are
@@ -627,5 +614,5 @@ def verify_theorems(A: QMatrix, suite: str, tol: float = 1e-8) -> TheoremReport:
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     rng = np.random.default_rng(_SUITE_SEED)
-    cases = _SUITES[suite](A, tol, rng)
+    cases = _SUITES[suite](A, rng)
     return TheoremReport(suite, tuple(cases), tol)

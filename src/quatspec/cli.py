@@ -23,8 +23,10 @@ import time
 import numpy as np
 
 from .calculus import (
+    EXP_SERIES_TOL,
     QUAD_REL_TOL,
     SUITE_NAMES,
+    SUITE_TOL,
     calculus_sided,
     op_exp,
     op_log,
@@ -36,6 +38,9 @@ from .operators import STRUCTURE_TOL, QMatrix
 from .quaternion import Quaternion
 from .slicefn import catalog
 from .spectrum import (
+    CLUSTER_REL_TOL,
+    CROSS_CHECK_TOL,
+    SERIES_TOL,
     distance_to_spectrum,
     q_pencil_inverse,
     s_resolvent,
@@ -138,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("spectrum", "spectral spheres with multiplicities")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="sphere clustering radius (default 1e-8)")
+    p.add_argument("--tol", type=float, help="sphere clustering radius "
+                   f"(default {CLUSTER_REL_TOL:g} (1 + ||A||_F))")
 
     p = add("radius", "spectral radius")
     p.add_argument("--method", choices=("eig", "power"), default="eig")
@@ -173,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run an identity suite against the matrix")
     p.add_argument("--suite", required=True,
                    choices=SUITE_NAMES + ("all",))
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="largest discrepancy a suite passes with (default 1e-8)")
+    p.add_argument("--tol", type=float, default=SUITE_TOL,
+                   help="largest discrepancy a suite passes with "
+                   "(default %(default)g)")
     return parser
 
 
@@ -183,9 +189,9 @@ _QUADRATURE_TOLERANCES = {"quadrature": QUAD_REL_TOL, "structure": STRUCTURE_TOL
 
 
 def _solve_tolerances(method: str) -> dict:
-    """Series truncate at the library default; direct solves pull back."""
+    """Series truncate at SERIES_TOL; direct solves pull back."""
     if method in ("series", "neumann"):
-        return {"truncation": 1e-12}
+        return {"truncation": SERIES_TOL}
     return {"structure": STRUCTURE_TOL}
 
 
@@ -220,7 +226,7 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
                    "method": args.method, "kind": f.kind}
         return payload, _QUADRATURE_TOLERANCES, 0
     if cmd == "exp":
-        return {"matrix": matrix_payload(op_exp(A))}, {"series": 1e-16}, 0
+        return {"matrix": matrix_payload(op_exp(A))}, {"series": EXP_SERIES_TOL}, 0
     if cmd == "log":
         payload = {"matrix": matrix_payload(op_log(A))}
         return payload, _QUADRATURE_TOLERANCES, 0
@@ -231,7 +237,7 @@ def _run(args, raw: bytes) -> tuple[dict, dict, int]:
     if cmd == "distance":
         geo, via = distance_to_spectrum(A, args.alpha)
         payload = {"alpha": args.alpha, "geometric": geo, "via_radius": via}
-        return payload, {"cross_check": 1e-6}, 0
+        return payload, {"cross_check": CROSS_CHECK_TOL}, 0
     if cmd == "verify":
         names = SUITE_NAMES if args.suite == "all" else (args.suite,)
         reports = [verify_theorems(A, name, args.tol) for name in names]

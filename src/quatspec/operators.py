@@ -311,23 +311,25 @@ def adjoint_structure_residual(M: np.ndarray) -> float:
     return float(_pull_back(M)[2])
 
 
-# structure residual bound, relative to 1 + ||M||_F, on every pull-back of
-# a computed inverse or quadrature sum
-STRUCTURE_TOL = 1e-8
+STRUCTURE_TOL = 1e-8  # on every pull-back of a computed inverse or sum
 
 
-def from_complex_adjoint(M: np.ndarray, tol: float = 1e-9) -> QMatrix:
+def _checked_pull_back(M: np.ndarray):
+    """x, y of _pull_back(M) over any stack, checked against STRUCTURE_TOL."""
+    x, y, resid = _pull_back(M)
+    if np.any(resid > STRUCTURE_TOL * (1.0 + np.linalg.norm(M, axis=(-2, -1)))):
+        raise StructureViolation(f"structure residual {np.max(resid):.3e} "
+                                 f"exceeds {STRUCTURE_TOL:.1e} (1 + ||M||_F)")
+    return x, y
+
+
+def from_complex_adjoint(M: np.ndarray) -> QMatrix:
     """Invert the embedding, averaging the redundant blocks.
 
     Raises StructureViolation when the block structure residual exceeds
-    tol * (1 + ||M||_F).
+    STRUCTURE_TOL * (1 + ||M||_F).
     """
-    x, y, resid = _pull_back(M)
-    scale = 1.0 + float(np.linalg.norm(M))
-    if resid > tol * scale:
-        raise StructureViolation(
-            f"structure residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return QMatrix(x, y)
+    return QMatrix(*_checked_pull_back(M))
 
 
 # -- real representation ---------------------------------------------------

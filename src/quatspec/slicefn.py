@@ -135,13 +135,12 @@ def eval_stem(f: StemFunction, q: Quaternion) -> Quaternion:
 
 def from_holomorphic_intrinsic(h: Callable[[np.ndarray], np.ndarray],
                                domain: AxSymDomain,
-                               label: str = "",
-                               sym_tol: float = 1e-10) -> StemFunction:
+                               label: str = "") -> StemFunction:
     """Intrinsic stem pair from a holomorphic h with h(conj z) = conj(h(z)).
 
-    h maps complex arrays elementwise.  The symmetry is checked on an
-    8 x 8 grid of box sample points (those inside the domain); violation
-    raises NotIntrinsic.  Stems are the even/odd combinations
+    h maps complex arrays elementwise.  The symmetry is checked to 1e-10
+    (1 + |h(z)|) on an 8 x 8 grid of box points inside the domain;
+    violation raises NotIntrinsic.  Stems are the even/odd combinations
     f0 = (h(z) + h(conj z))/2 and f1 = (h(z) - h(conj z))/(2i).
     """
     amin, amax, bmax = domain.box
@@ -149,7 +148,7 @@ def from_holomorphic_intrinsic(h: Callable[[np.ndarray], np.ndarray],
     z = amin + cells[:, None] * (amax - amin) / 8.0 + 1j * (cells * bmax / 8.0)
     z = z[domain.contains(z.real, z.imag)]
     hz = np.broadcast_to(h(z), z.shape)
-    bad = np.abs(h(np.conj(z)) - np.conj(hz)) > sym_tol * (1.0 + np.abs(hz))
+    bad = np.abs(h(np.conj(z)) - np.conj(hz)) > 1e-10 * (1.0 + np.abs(hz))
     if bad.any():
         raise NotIntrinsic(f"h(conj z) != conj h(z) at z = {z[bad][0]:.6g}")
 
@@ -337,7 +336,9 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
 
     Stems are sampled on a grid of box cell centers.  Derivatives use
     central differences with fd_step (default 1e-5 times the box size);
-    points whose five-point stencil leaves the domain are skipped.
+    points whose five-point stencil leaves the domain are skipped.  A
+    sample's Cauchy-Riemann defect is relative to 1 + the norms of its
+    four derivatives, whose size the difference error follows.
     Compatibility is f1(alpha, 0) = 0 along the real axis; parity is
     structural and needs no check.  The intrinsic residual is only
     enforced when the kind claims intrinsic.
@@ -362,7 +363,8 @@ def validate(f: StemFunction, grid: int = 32, fd_step: float | None = None,
     # rows 0 and 1 of da, db: the derivatives of f0 and of f1
     da = np.subtract(f.stems(a + h, b), f.stems(a - h, b)) / (2 * h)
     db = np.subtract(f.stems(a, b + h), f.stems(a, b - h)) / (2 * h)
-    cr = max(worst(da[0] - db[1]), worst(db[0] + da[1]))
+    scale = 1.0 + np.linalg.norm(np.stack([da, db]), axis=-1).sum((0, 1))
+    cr = worst(np.stack([da[0] - db[1], db[0] + da[1]]) / scale[:, None])
     samples = a.size
 
     a = amin + (np.arange(grid) + 0.5) * (amax - amin) / grid

@@ -29,7 +29,6 @@ from .errors import (
     Singular,
 )
 from .operators import (
-    STRUCTURE_TOL,
     QMatrix,
     complex_adjoint,
     from_complex_adjoint,
@@ -57,14 +56,18 @@ __all__ = [
 # representation, below which a point is declared spectral.
 CLASSIFY_REL_TOL = 1e-10
 
+EIG_RESIDUAL_TOL = 1e-8  # eigen-residual bound relative to ||M||_F
+CLUSTER_REL_TOL = 1e-8  # default clustering radius over 1 + ||A||_F
+SERIES_TOL = 1e-12  # relative size of the last series term
+CROSS_CHECK_TOL = 1e-6  # relative gap between the two distances
 SERIES_TERM_CAP = 10 ** 6
 
 
-def eigenvalues(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def eigenvalues(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a complex matrix, residual checked.
 
     The backend solver is free; the contract is that every returned
-    lambda satisfies smin(lambda I - M) <= tol * ||M||_F.  The
+    lambda satisfies smin(lambda I - M) <= EIG_RESIDUAL_TOL * ||M||_F.  The
     certificate is the eigenvector residual ||M v - lambda v|| / ||v||
     of each computed pair: for any nonzero v it bounds
     smin(lambda I - M) from above, so a residual within the bound proves
@@ -82,9 +85,9 @@ def eigenvalues(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     residual = (np.linalg.norm(M @ V - V * lam, axis=0)
                 / np.linalg.norm(V, axis=0))
     worst = float(residual.max(initial=0.0))
-    if not worst <= tol * scale:
-        raise NoConvergence(
-            f"eigenvalue residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if not worst <= EIG_RESIDUAL_TOL * scale:
+        raise NoConvergence(f"eigenvalue residual {worst:.3e} exceeds "
+                            f"{EIG_RESIDUAL_TOL:.1e} * {scale:.3e}")
     order = np.lexsort((lam.imag, lam.real))
     return lam[order]
 
@@ -174,13 +177,13 @@ def _cluster(points: list[tuple[float, float]], tol: float) -> list[list[int]]:
 def s_spectrum(A: QMatrix, tol: float | None = None) -> SphereSet:
     """Conjugation spheres of the eigenvalues of chi(A), A.chi_eigenvalues.
 
-    Every tolerance (default 1e-8 * (1 + ||A||)) clusters that one solve
-    in the (re, |im|) half plane.  A cluster on the real axis must hold
-    an even number of eigenvalues, half of which count toward its
-    multiplicity; otherwise OddRealMultiplicity is raised.
+    Every tolerance (default CLUSTER_REL_TOL * (1 + ||A||)) clusters that
+    one solve in the (re, |im|) half plane.  A cluster on the real axis
+    must hold an even number of eigenvalues, half of which count toward
+    its multiplicity; otherwise OddRealMultiplicity is raised.
     """
     if tol is None:
-        tol = 1e-8 * (1.0 + A.norm)
+        tol = CLUSTER_REL_TOL * (1.0 + A.norm)
     lam = A.chi_eigenvalues
     pts = [(float(lv.real), float(abs(lv.imag))) for lv in lam]
     spheres: list[tuple[Sphere, int]] = []
@@ -265,7 +268,7 @@ def neumann_coefficients(q: Quaternion, count: int) -> list[Quaternion]:
     return list(itertools.islice(_neumann_terms(q), count))
 
 
-def _neumann_pencil_inverse(A: QMatrix, q: Quaternion, tol: float) -> QMatrix:
+def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
     rad = s_spectral_radius(A, "eig")
     if abs(q) <= rad * (1.0 + 1e-12):
         raise SeriesDiverges(
@@ -277,7 +280,7 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion, tol: float) -> QMatrix:
             raise NoConvergence("series coefficient lost realness")
         term = acc.a * P
         total = total + term
-        if term.norm <= tol * (1.0 + total.norm):
+        if term.norm <= SERIES_TOL * (1.0 + total.norm):
             return total
         P = P @ A
     raise NoConvergence("pencil series hit the term cap")
@@ -288,35 +291,34 @@ def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
     smin = np.linalg.svd(M, compute_uv=False)[-1]
     if smin <= floor:
         raise Singular(f"{what} is singular (smin = {smin:.3e})")
-    return from_complex_adjoint(np.linalg.inv(M), tol=STRUCTURE_TOL)
+    return from_complex_adjoint(np.linalg.inv(M))
 
 
-def q_pencil_inverse(A: QMatrix, q, method: str = "direct",
-                     tol: float = 1e-12) -> QMatrix:
+def q_pencil_inverse(A: QMatrix, q, method: str = "direct") -> QMatrix:
     """Inverse of the pencil Q_q(A).
 
     "direct" inverts the complex adjoint and pulls the result back.
     "neumann" sums Q_q(A)^-1 = sum_n a_n A^n with the real coefficients
-    a_n, valid for |q| beyond the spectral radius; tol is its truncation
-    threshold.  Singularity of the pencil raises Singular.
+    a_n, valid for |q| beyond the spectral radius, truncated at SERIES_TOL
+    relative.  Singularity of the pencil raises Singular.
     """
     q = as_quaternion(q)
     if method == "neumann":
-        return _neumann_pencil_inverse(A, q, tol)
+        return _neumann_pencil_inverse(A, q)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     return _checked_inverse(complex_adjoint(q_pencil(A, q)),
                             CLASSIFY_REL_TOL * (1.0 + A.norm ** 2), "pencil")
 
 
-def s_resolvent(A: QMatrix, s, side: str = "L", method: str = "formula",
-                tol: float = 1e-12) -> QMatrix:
+def s_resolvent(A: QMatrix, s, side: str = "L",
+                method: str = "formula") -> QMatrix:
     """Left or right S-resolvent of A at s.
 
     formula:  L(s) = -Q_s(A)^-1 (A - conj(s) I)
               R(s) = -(A - conj(s) I) Q_s(A)^-1
     series:   L(s) = sum A^n s^(-n-1),  R(s) = sum s^(-n-1) A^n,
-              valid for |s| > ||A||; tol is the truncation threshold.
+              valid for |s| > ||A||, truncated at SERIES_TOL relative.
     """
     s = as_quaternion(s)
     if side not in ("L", "R"):
@@ -338,7 +340,7 @@ def s_resolvent(A: QMatrix, s, side: str = "L", method: str = "formula",
     for _ in range(SERIES_TERM_CAP):
         term = P.scalar_right(coeff) if side == "L" else P.scalar_left(coeff)
         total = total + term
-        if term.norm <= tol * (1.0 + total.norm):
+        if term.norm <= SERIES_TOL * (1.0 + total.norm):
             return total
         P = P @ A
         coeff = coeff * si
@@ -396,7 +398,7 @@ def distance_to_spectrum(A: QMatrix, alpha: float) -> DistanceResult:
     B = QMatrix.scalar(A.n, Quaternion(alpha)) - A
     r = s_spectral_radius(quaternion_matrix_inverse(B), "eig")
     via = 1.0 / r
-    if abs(geo - via) > 1e-6 * (1.0 + geo):
+    if abs(geo - via) > CROSS_CHECK_TOL * (1.0 + geo):
         raise NoConvergence(
             f"distance cross-check failed: {geo:.12g} vs {via:.12g}")
     return DistanceResult(geo, via)

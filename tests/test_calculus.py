@@ -49,6 +49,7 @@ from quatspec import (
 )
 
 from quatspec.calculus import _s_contour_value
+from quatspec.operators import _pull_back
 from quatspec.slicefn import INTRINSIC, RIGHT
 
 from _helpers import (
@@ -424,7 +425,7 @@ def _per_node_s_contour_value(A, h, contour):
         px = sq.x - two_re * A.x + (np.abs(s) ** 2)[:, None, None] * eye
         py = sq.y - two_re * A.y
         inv = qcalc._checked_solve(qcalc._embed(px, py), "the pencil")
-        qx, qy, resid = qcalc._pull_back(inv)
+        qx, qy, resid = _pull_back(inv)
         assert np.all(resid <= 1e-8 * (1.0 + np.linalg.norm(inv, axis=(-2, -1))))
         bx = A.x - np.conj(s)[:, None, None] * eye
         return -np.stack([qx @ bx - np.conj(qy) @ A.y,
@@ -544,7 +545,25 @@ def test_structure_violation_for_non_intrinsic_h():
     contour = auto_contour(s_spectrum(A), entire_domain())
     raw = riesz_dunford(complex_adjoint(A), lambda z: 1j * z, contour)
     with pytest.raises(StructureViolation):
-        from_complex_adjoint(raw, tol=1e-8)
+        from_complex_adjoint(raw)
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+def test_both_routes_check_the_pulled_back_structure(monkeypatch, method):
+    # a solve that leaves the embedded algebra is caught by the one
+    # structure check: on the summed resolvents of the complex path and
+    # on the pencil inverses of the s-contour path
+    solve = qcalc._checked_solve
+
+    def unstructured(stack, what):
+        inv = solve(stack, what).copy()
+        inv[..., 0, 0] *= 2.0
+        return inv
+
+    monkeypatch.setattr(qcalc, "_checked_solve", unstructured)
+    A = random_qmatrix(rng(129), 2)
+    with pytest.raises(StructureViolation, match="structure residual"):
+        calculus_sided(A, catalog("exp"), method=method)
 
 
 def test_structure_residual_small_for_intrinsic():
@@ -580,20 +599,14 @@ def test_sided_intrinsic_consistency():
 
 def test_sided_right_monomial():
     f = catalog("monoL:[[0,1,0,0],1]")  # q -> i q, a right slice function
-    out = calculus_sided(QMatrix.from_entries([[J]]), f, kind="right")
+    out = calculus_sided(QMatrix.from_entries([[J]]), f)
     assert_quat_close(out.entry(0, 0), K, 1e-10)
 
 
 def test_sided_left_monomial():
     f = catalog("monoR:[[0,1,0,0],1]")  # q -> q i, a left slice function
-    out = calculus_sided(QMatrix.from_entries([[J]]), f, kind="left")
+    out = calculus_sided(QMatrix.from_entries([[J]]), f)
     assert_quat_close(out.entry(0, 0), -K, 1e-10)
-
-
-def test_sided_kind_mismatch():
-    with pytest.raises(ValueError):
-        calculus_sided(QMatrix.identity(1),
-                       catalog("monoL:[[0,1,0,0],1]"), kind="left")
 
 
 def test_sided_quaternion_coefficient_polynomial():

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
-from quatspec import I, QMatrix, Quaternion
+import quatspec.calculus as qcalc
+import quatspec.operators as qops
+import quatspec.spectrum as qspec
+from quatspec import I, QMatrix, Quaternion, s_spectrum
 from quatspec.cli import (
     build_parser,
     main,
@@ -18,6 +21,7 @@ from quatspec.cli import (
 from quatspec.errors import NonFiniteEntry, NonSquare, ParseError
 
 from _helpers import assert_matrix_close, random_qmatrix, rng
+from test_spectrum import _planted_jordan
 
 
 def write_matrix(tmp_path, name, M):
@@ -101,14 +105,15 @@ def test_spectrum_command(tmp_path, capsys):
 
 
 def test_spectrum_tol_is_the_cluster_radius(tmp_path, capsys):
-    path = write_matrix(tmp_path, "near.json", QMatrix.diag([1.0, 1.0005]))
+    M = QMatrix.diag([1.0, 1.0005])
+    path = write_matrix(tmp_path, "near.json", M)
     code, env, _ = run_cli(capsys, "spectrum", "--tol", "1e-3",
                            "--input", path)
     assert code == 0
     assert env["tolerances"] == {"cluster": 0.001}
     assert [s["multiplicity"] for s in env["payload"]["spheres"]] == [2]
     code, env, _ = run_cli(capsys, "spectrum", "--input", path)
-    assert env["tolerances"] == {"cluster": 1e-8}
+    assert env["tolerances"] == {"cluster": 1e-8 * (1.0 + M.norm)}
     assert [s["multiplicity"] for s in env["payload"]["spheres"]] == [1, 1]
 
 
@@ -224,7 +229,7 @@ QUADRATURE = {"quadrature": 1e-10, "structure": 1e-8}
 
 
 @pytest.mark.parametrize("argv, tolerances", [
-    (["spectrum"], {"cluster": 1e-8}),
+    (["spectrum"], {"cluster": 1e-8 * (1.0 + 4.0)}),
     (["radius", "--method", "eig"], {}),
     (["radius", "--method", "power"], {}),
     (["resolvent", "--at", "6,0,1,0"], STRUCTURE),
@@ -248,6 +253,45 @@ def test_each_command_reports_the_tolerances_it_used(tmp_path, capsys, argv,
     code, env, _ = run_cli(capsys, *argv, "--input", path)
     assert code == 0
     assert env["tolerances"] == tolerances
+
+
+def test_reported_tolerances_are_the_library_constants(tmp_path, capsys):
+    A = QMatrix.from_entries([[Quaternion(4.0)]])
+    path = write_matrix(tmp_path, "four.json", A)
+    quadrature = {"quadrature": qcalc.QUAD_REL_TOL,
+                  "structure": qops.STRUCTURE_TOL}
+    # one command per constant, checked against the constant itself
+    for argv, tolerances in [
+        (["spectrum"], {"cluster": qspec.CLUSTER_REL_TOL * (1.0 + A.norm)}),
+        (["resolvent", "--at", "6,0,1,0"], {"structure": qops.STRUCTURE_TOL}),
+        (["pencil-inverse", "--at", "6,0,1,0", "--method", "neumann"],
+         {"truncation": qspec.SERIES_TOL}),
+        (["calculus", "--fn", "exp"], quadrature),
+        (["exp"], {"series": qcalc.EXP_SERIES_TOL}),
+        (["distance", "--alpha", "0"], {"cross_check": qspec.CROSS_CHECK_TOL}),
+        (["verify", "--suite", "polynomial"], {"suite": qcalc.SUITE_TOL}),
+    ]:
+        code, env, _ = run_cli(capsys, *argv, "--input", path)
+        assert code == 0
+        assert env["tolerances"] == tolerances, argv
+
+
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, -0.7 + 0.0j, 1.0 + 0.0j])
+def test_spectrum_default_clusters_like_the_calculus(tmp_path, capsys, lam):
+    # the perturbed eigenvalue pair of a defective block spreads beyond an
+    # absolute 1e-8, which split it into odd clusters; the default radius
+    # 1e-8 (1 + ||A||) of every calculus command holds it together
+    gen = rng(337)
+    for draw in range(20):
+        A = _planted_jordan(gen, 2, lam)
+        path = write_matrix(tmp_path, f"jordan{draw}.json", A)
+        code, env, err = run_cli(capsys, "spectrum", "--input", path)
+        assert code == 0, err
+        want = s_spectrum(A)
+        assert env["payload"]["spheres"] == [
+            {"re": s.re, "im_norm": s.im_norm, "multiplicity": m}
+            for s, m in want.spheres]
+        assert env["tolerances"] == {"cluster": want.tol}
 
 
 def test_distance_command(tmp_path, capsys):

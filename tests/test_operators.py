@@ -160,7 +160,7 @@ def test_slice_and_real_coordinate_round_trips():
 def test_from_complex_adjoint():
     gen = rng(210)
     A = random_qmatrix(gen, 3)
-    assert from_complex_adjoint(complex_adjoint(A), tol=0.0) == A
+    assert from_complex_adjoint(complex_adjoint(A)) == A
     B = from_complex_adjoint(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert B == QMatrix.from_entries([[J]])
     with pytest.raises(StructureViolation):

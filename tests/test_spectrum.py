@@ -81,7 +81,7 @@ def _planted_jordan(gen, n: int, lam: complex) -> QMatrix:
 
 def _assert_certified(M):
     """Every returned eigenvalue meets the contract, checked by a full SVD."""
-    lam = eigenvalues(M, tol=1e-8)
+    lam = eigenvalues(M)
     assert len(lam) == M.shape[0]
     scale = np.linalg.norm(M)
     for lv in lam:
@@ -104,10 +104,11 @@ def test_eigenvalues_certificate_on_jordan_blocks(size, lam):
         _assert_certified(complex_adjoint(_planted_jordan(gen, size, lam)))
 
 
-def test_eigenvalues_unreachable_tolerance_raises():
+def test_eigenvalues_unreachable_tolerance_raises(monkeypatch):
     M = complex_adjoint(random_qmatrix(rng(19), 4))
+    monkeypatch.setattr(qspec, "EIG_RESIDUAL_TOL", 1e-20)
     with pytest.raises(NoConvergence):
-        eigenvalues(M, tol=1e-20)
+        eigenvalues(M)
 
 
 # --------------------------------------------------------- the eigen record
@@ -135,7 +136,7 @@ def test_chi_eigenvalues_does_not_cache_a_failure(monkeypatch):
     A = random_qmatrix(rng(29), 3)
     calls = []
 
-    def failing(M, tol=1e-8):
+    def failing(M):
         calls.append(1)
         raise NoConvergence("planted failure")
 
@@ -438,6 +439,18 @@ def test_resolvent_series_diverges_inside_norm():
     A = QMatrix.from_entries([[Quaternion(2.0)]])
     with pytest.raises(SeriesDiverges):
         s_resolvent(A, Quaternion(1.0), "L", "series")
+
+
+def test_series_raise_no_convergence_at_the_term_cap(monkeypatch):
+    # near the radius a series needs far more than three terms
+    monkeypatch.setattr(qspec, "SERIES_TERM_CAP", 3)
+    A = random_qmatrix(rng(61), 3)
+    q = Quaternion(0.6, 0.8) * (1.1 * s_spectral_radius(A, "eig"))
+    with pytest.raises(NoConvergence, match="term cap"):
+        q_pencil_inverse(A, q, "neumann")
+    for side in ("L", "R"):
+        with pytest.raises(NoConvergence, match="term cap"):
+            s_resolvent(A, Quaternion(0.6, 0.8) * (1.1 * A.norm), side, "series")
 
 
 def test_resolvent_rejects_bad_arguments():

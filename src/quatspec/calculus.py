@@ -16,14 +16,15 @@ two routes is a genuine cross-check rather than a restatement.
 
 Contours are finite unions of disjoint, positively oriented circles in
 the slice plane, closed under conjugation, each centered near spectral
-data and kept inside the function's domain.
+data and kept inside the function's domain.  A contour is held as its
+upper half: the circles centred on or above the real axis, each one
+above the axis standing for itself and its mirror.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -36,7 +37,6 @@ from .errors import (
     NotIntrinsic,
     QuadratureStalled,
     SingularNode,
-    StructureViolation,
     UsageError,
 )
 from .operators import (
@@ -96,24 +96,33 @@ class Circle(NamedTuple):
 
 @dataclass(frozen=True)
 class SliceContour:
-    """Disjoint positively oriented circles, closed under conjugation.
+    """Disjoint positively oriented circles, held as their upper half.
 
-    The quadrature pairs each node with its conjugate on the mirror
-    circle, so a circle without a mirror raises ValueError.
+    The contour is closed under conjugation, so circles lists only those
+    centred on or above the real axis.  A circle above the axis stands
+    for itself and its mirror, so its disk must stay off the axis; a
+    circle centred below the axis, or one above it whose disk reaches
+    the axis, raises ValueError.
     """
 
     circles: tuple[Circle, ...]
 
     def __post_init__(self):
-        count = Counter(self.circles)
         for c in self.circles:
-            if count[c] != count[c._replace(center=c.center.conjugate())]:
+            if c.center.imag < 0.0:
                 raise ValueError(
-                    f"circle at {c.center} of radius {c.radius} has no "
-                    "mirror circle: contours must be closed under conjugation")
+                    f"circle at {c.center} of radius {c.radius} lies below "
+                    "the real axis: a contour holds its upper half")
+            if 0.0 < c.center.imag <= c.radius:
+                raise ValueError(
+                    f"circle at {c.center} of radius {c.radius} reaches the "
+                    "real axis and would overlap its mirror")
 
     def encloses(self, z: complex) -> bool:
-        return any(abs(complex(z) - c.center) < c.radius for c in self.circles)
+        # a point below the axis lies in the mirror of a circle above it
+        z = complex(z)
+        z = complex(z.real, abs(z.imag))
+        return any(abs(z - c.center) < c.radius for c in self.circles)
 
 
 def _overlap(c1: Circle, c2: Circle) -> bool:
@@ -136,42 +145,26 @@ def _fold_to_axis(c: Circle) -> Circle:
 
 
 def _merge_upper(circles: list[Circle]) -> list[Circle]:
-    """Merge upper-half representatives, keeping symmetry structural.
+    """Disjoint circles on or above the axis covering the given ones.
 
-    Each circle with center strictly above the axis stands for itself
-    plus its mirror image; real-centered circles stand alone.  A circle
-    whose disk reaches the axis would overlap its own mirror, so it
-    folds onto the axis first; after that, cross-half overlaps reduce
-    to same-half overlaps and plain pairwise merging finishes the job.
+    Each round first folds onto the axis every circle whose disk reaches
+    it, as it would overlap its own mirror; a circle on the axis folds to
+    itself.  Then the first overlapping pair (i, j), i < j, gives way to
+    its enclosing circle, appended last.  Each round that does not
+    return merges two circles into one, so the loop ends after at most
+    len(circles) - 1 merges.
     """
     cs = list(circles)
-    for _ in range(10000):
-        folded = False
-        for idx, c in enumerate(cs):
-            eps = 1e-12 * (1.0 + abs(c.center) + c.radius)
-            if 0.0 < c.center.imag < c.radius + eps:
-                cs[idx] = _fold_to_axis(c)
-                folded = True
-        if folded:
-            continue
-        pair = None
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if _overlap(cs[i], cs[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+    while True:
+        cs = [_fold_to_axis(c)
+              if c.center.imag < c.radius + 1e-12 * (1.0 + abs(c.center) + c.radius)
+              else c for c in cs]
+        pair = next(((i, j) for i in range(len(cs)) for j in range(i + 1, len(cs))
+                     if _overlap(cs[i], cs[j])), None)
         if pair is None:
             return cs
-        i, j = pair
-        merged = _enclose(cs[i], cs[j])
-        if (cs[i].center.imag == 0.0 or cs[j].center.imag == 0.0) \
-                and merged.center.imag != 0.0:
-            merged = _fold_to_axis(merged)
-        cs = [c for t, c in enumerate(cs) if t not in pair]
-        cs.append(merged)
-    raise StructureViolation("contour merge did not stabilize")
+        merged = _enclose(cs[pair[0]], cs[pair[1]])
+        cs = [c for t, c in enumerate(cs) if t not in pair] + [merged]
 
 
 def _disk_in_domain(center: complex, radius: float, domain: AxSymDomain) -> bool:
@@ -196,47 +189,36 @@ def build_contour(spheres: SphereSet, domain: AxSymDomain,
                   margin: float) -> SliceContour:
     """Circles of the given margin around every spectral sphere.
 
-    A sphere whose imaginary norm is below the margin gets one circle
-    centered on the real axis; otherwise the two slice representatives
-    each get a circle.  Overlapping circles are replaced by a common
-    enclosing circle, so every sphere representative stays at least the
-    margin away from the final contour.  Disks leaving the domain raise
-    DomainTooTight.
+    Each sphere gets a circle of radius margin about its upper slice
+    representative, which _merge_upper folds onto the real axis when it
+    reaches the axis and merges with any circle it overlaps, so every
+    sphere representative stays at least the margin away from the final
+    contour.  The circles come sorted by centre.  Disks leaving the
+    domain raise DomainTooTight; the domain is symmetric, so the mirror
+    disks need no check.
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    upper: list[Circle] = []
-    for sph, _ in spheres.spheres:
-        if sph.im_norm < margin:
-            upper.append(Circle(complex(sph.re, 0.0), sph.im_norm + margin))
-        else:
-            upper.append(Circle(complex(sph.re, sph.im_norm), margin))
-    circles: list[Circle] = []
-    for c in _merge_upper(upper):
-        circles.append(c)
-        if c.center.imag > 0.0:
-            circles.append(Circle(c.center.conjugate(), c.radius))
+    circles = sorted(_merge_upper([Circle(complex(sph.re, sph.im_norm), margin)
+                                   for sph, _ in spheres.spheres]),
+                     key=lambda c: (c.center.real, c.center.imag))
     for c in circles:
         if not _disk_in_domain(c.center, c.radius, domain):
             raise DomainTooTight(
                 f"margin {margin:.3g} pushes a contour disk out of the domain")
-    circles.sort(key=lambda c: (c.center.real, c.center.imag))
     return SliceContour(tuple(circles))
 
 
 def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
-    """Widest admissible contour from a shrinking ladder of margins."""
-    scale = 1.0 + spheres.max_abs()
-    margin = 0.45 * scale
+    """Widest admissible contour from a ladder of 24 margins shrinking by 0.6."""
+    margin = 0.45 * (1.0 + spheres.max_abs())
     last = None
     for _ in range(24):
-        if margin < 1e-6 * scale:
-            break
         try:
             return build_contour(spheres, domain, margin)
         except DomainTooTight as exc:
             last = exc
-            margin *= 0.6
+        margin *= 0.6
     raise DomainTooTight(
         "no contour margin separates the spectrum from the domain edge") from last
 
@@ -258,22 +240,21 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     Nested periodic trapezoid levels at a node count N per circle that
     doubles: the first level takes the angles k/N, each later level only
     the new odd angles (2k+1)/(2N), added to one raw sum that N divides,
-    so every node is solved once.  A level lays its nodes out in mirror
-    pairs: each node of a circle above the axis, or of the upper half of
-    a circle centred on it, is followed by its exact conjugate, which
-    stands for the node of the mirror circle; the nodes at angles 0 and
-    1/2 of an axis circle, exactly real, come last.  The nodes go out in
-    chunks of an even size, _BATCH_ENTRIES // size^2 rounded down but at
-    least 2, size being the order of the solved matrices, so no chunk
-    splits a pair and at_nodes can solve a pencil once per sphere.
+    so every node is solved once.  The contour's circles are its upper
+    half, and a level lays their nodes out in mirror pairs: each node of
+    a circle above the axis, or of the upper half of a circle centred on
+    it, is followed by its exact conjugate, which stands for the node of
+    the mirror circle; the nodes at angles 0 and 1/2 of an axis circle,
+    exactly real, come last.  The nodes go out in chunks of an even size,
+    _BATCH_ENTRIES // size^2 rounded down but at least 2, size being the
+    order of the solved matrices, so no chunk splits a pair and at_nodes
+    can solve a pencil once per sphere.
     at_nodes maps a chunk to one array per node, h to one value per node
     or, with a leading axis of p, p values per node.  The convergence
     test is on the Frobenius norm of the whole sum.
     """
-    # circles above the axis and on it; those below are their mirrors
-    reps = [c for c in contour.circles if c.center.imag >= 0.0]
-    centers = np.array([c.center for c in reps], dtype=complex)[:, None]
-    radii = np.array([c.radius for c in reps])[:, None]
+    centers = np.array([c.center for c in contour.circles], dtype=complex)[:, None]
+    radii = np.array([c.radius for c in contour.circles])[:, None]
     upper = centers.imag > 0.0
     chunk = max(2, _BATCH_ENTRIES // (size * size) // 2 * 2)
     count = max(4, nodes)

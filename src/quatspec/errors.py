@@ -103,7 +103,7 @@ class NonFiniteEntry(UsageError):
 
 
 class NoConvergence(NumericError):
-    """An iteration reached its cap without meeting its tolerance."""
+    """An iteration reached its cap or a non-finite value before its tolerance."""
 
 
 class OddRealMultiplicity(NumericError):

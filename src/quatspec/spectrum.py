@@ -275,14 +275,19 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
             f"|q| = {abs(q):.6g} is inside the spectral radius {rad:.6g}")
     total = QMatrix.zeros(A.n)
     P = QMatrix.identity(A.n)
-    for acc in itertools.islice(_neumann_terms(q), SERIES_TERM_CAP):
-        if max(abs(acc.b), abs(acc.c), abs(acc.d)) > 1e-12 * (1.0 + abs(acc)):
-            raise NoConvergence("series coefficient lost realness")
-        term = acc.a * P
-        total = total + term
-        if term.norm <= SERIES_TOL * (1.0 + total.norm):
-            return total
-        P = P @ A
+    # P overflows where the series needs more terms than floats can carry;
+    # the first non-finite term ends the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, acc in enumerate(itertools.islice(_neumann_terms(q), SERIES_TERM_CAP)):
+            if max(abs(acc.b), abs(acc.c), abs(acc.d)) > 1e-12 * (1.0 + abs(acc)):
+                raise NoConvergence("series coefficient lost realness")
+            term = acc.a * P
+            total = total + term
+            if not math.isfinite(term.norm):
+                raise NoConvergence(f"pencil series term {k} is not finite")
+            if term.norm <= SERIES_TOL * (1.0 + total.norm):
+                return total
+            P = P @ A
     raise NoConvergence("pencil series hit the term cap")
 
 
@@ -337,13 +342,16 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     coeff = si
     P = QMatrix.identity(n)
     total = QMatrix.zeros(n)
-    for _ in range(SERIES_TERM_CAP):
-        term = P.scalar_right(coeff) if side == "L" else P.scalar_left(coeff)
-        total = total + term
-        if term.norm <= SERIES_TOL * (1.0 + total.norm):
-            return total
-        P = P @ A
-        coeff = coeff * si
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(SERIES_TERM_CAP):
+            term = P.scalar_right(coeff) if side == "L" else P.scalar_left(coeff)
+            total = total + term
+            if not math.isfinite(term.norm):
+                raise NoConvergence(f"resolvent series term {k} is not finite")
+            if term.norm <= SERIES_TOL * (1.0 + total.norm):
+                return total
+            P = P @ A
+            coeff = coeff * si
     raise NoConvergence("resolvent series hit the term cap")
 
 

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quatspec.calculus as qcalc
 from quatspec import (
@@ -65,13 +67,20 @@ def single_sphere(re, im_norm, mult=1, tol=1e-8):
     return SphereSet(((Sphere(re, im_norm), mult),), tol)
 
 
+def _both_halves(contour):
+    """The contour's circles, then the mirrors of those above the axis."""
+    return list(contour.circles) + [Circle(c.center.conjugate(), c.radius)
+                                    for c in contour.circles
+                                    if c.center.imag > 0.0]
+
+
 # ---------------------------------------------------------------- contours
 
 def test_contour_split_sphere():
     contour = build_contour(single_sphere(0.0, 1.0), entire_domain(), 0.3)
     got = sorted(((c.center.real, c.center.imag), c.radius)
                  for c in contour.circles)
-    assert got == [((0.0, -1.0), 0.3), ((0.0, 1.0), 0.3)]
+    assert got == [((0.0, 1.0), 0.3)]
 
 
 def test_contour_real_sphere():
@@ -89,6 +98,12 @@ def test_contour_axis_merge():
     assert abs(c.radius - 0.4) < 1e-15
 
 
+def test_contour_folds_a_circle_that_touches_the_axis():
+    # the circle of radius 0.3 about 0.3i touches its mirror at 0
+    contour = build_contour(single_sphere(0.0, 0.3), entire_domain(), 0.3)
+    assert contour.circles == (Circle(0j, 0.6),)
+
+
 def test_contour_rejects_nonpositive_margin():
     with pytest.raises(ValueError):
         build_contour(single_sphere(0.0, 1.0), entire_domain(), 0.0)
@@ -99,13 +114,12 @@ def test_contour_invariants_random():
     for _ in range(25):
         A = random_qmatrix(gen, int(gen.integers(1, 5)))
         contour = auto_contour(s_spectrum(A), entire_domain())
-        circles = contour.circles
-        assert len(circles) >= 1
-        centers = {(c.center.real, c.center.imag) for c in circles}
-        for c in circles:
+        assert len(contour.circles) >= 1
+        for c in contour.circles:
             assert c.radius > 0
-            # closed under conjugation of centers
-            assert (c.center.real, -c.center.imag) in centers
+            # on the axis, or above it with the disk clear of its mirror
+            assert c.center.imag == 0.0 or c.center.imag > c.radius
+        circles = _both_halves(contour)
         for a in range(len(circles)):
             for b in range(a + 1, len(circles)):
                 d = abs(circles[a].center - circles[b].center)
@@ -117,14 +131,16 @@ def test_contour_invariants_random():
             assert contour.encloses(complex(sph.re, -sph.im_norm))
 
 
-def test_contour_requires_mirror_circles():
-    with pytest.raises(ValueError, match=r"circle at \(1\+1j\) of radius 0.5"):
-        SliceContour((Circle(1 + 1j, 0.5),))
-    # a real-centred circle is its own mirror; a pair must come in full
-    SliceContour((Circle(1 + 0j, 0.5), Circle(1 - 1j, 0.4), Circle(1 + 1j, 0.4)))
-    with pytest.raises(ValueError, match="no mirror circle"):
-        SliceContour((Circle(1 - 1j, 0.4), Circle(1 + 1j, 0.4),
-                      Circle(1 + 1j, 0.4)))
+def test_contour_holds_its_upper_half():
+    # a circle above the axis stands for its mirror too, so the mirror
+    # is never listed and the disk must stay off the axis
+    with pytest.raises(ValueError,
+                       match=r"circle at \(1-1j\) of radius 0.4 lies below"):
+        SliceContour((Circle(1 + 1j, 0.4), Circle(1 - 1j, 0.4)))
+    with pytest.raises(ValueError,
+                       match=r"circle at \(1\+0.5j\) of radius 0.5 reaches"):
+        SliceContour((Circle(1 + 0.5j, 0.5),))
+    SliceContour((Circle(1 + 0j, 0.5), Circle(1 + 1j, 0.4)))
 
 
 def test_circle_has_no_orientation_argument():
@@ -139,6 +155,122 @@ def test_contour_domain_too_tight():
     # a sphere sitting on the log cut can never be enclosed
     with pytest.raises(DomainTooTight):
         auto_contour(single_sphere(-1.0, 0.0), catalog("log").domain)
+
+
+def _full_merge_upper(circles):
+    """The merge loop of the contours that listed both halves: the reference."""
+    cs = list(circles)
+    for _ in range(10000):
+        folded = False
+        for idx, c in enumerate(cs):
+            eps = 1e-12 * (1.0 + abs(c.center) + c.radius)
+            if 0.0 < c.center.imag < c.radius + eps:
+                cs[idx] = qcalc._fold_to_axis(c)
+                folded = True
+        if folded:
+            continue
+        pair = None
+        for i in range(len(cs)):
+            for j in range(i + 1, len(cs)):
+                if qcalc._overlap(cs[i], cs[j]):
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            return cs
+        i, j = pair
+        merged = qcalc._enclose(cs[i], cs[j])
+        if (cs[i].center.imag == 0.0 or cs[j].center.imag == 0.0) \
+                and merged.center.imag != 0.0:
+            merged = qcalc._fold_to_axis(merged)
+        cs = [c for t, c in enumerate(cs) if t not in pair]
+        cs.append(merged)
+    raise AssertionError("reference merge did not stabilize")
+
+
+def _full_build_contour(spheres, domain, margin):
+    """Both halves of the contour, mirrors and domain checks included."""
+    upper = []
+    for sph, _ in spheres.spheres:
+        if sph.im_norm < margin:
+            upper.append(Circle(complex(sph.re, 0.0), sph.im_norm + margin))
+        else:
+            upper.append(Circle(complex(sph.re, sph.im_norm), margin))
+    circles = []
+    for c in _full_merge_upper(upper):
+        circles.append(c)
+        if c.center.imag > 0.0:
+            circles.append(Circle(c.center.conjugate(), c.radius))
+    for c in circles:
+        if not qcalc._disk_in_domain(c.center, c.radius, domain):
+            raise DomainTooTight("reference")
+    circles.sort(key=lambda c: (c.center.real, c.center.imag))
+    return circles
+
+
+def _bits(build, *args):
+    """The built circles as hex floats in order, or None on DomainTooTight."""
+    try:
+        circles = build(*args)
+    except DomainTooTight:
+        return None
+    return [(c.center.real.hex(), c.center.imag.hex(), c.radius.hex())
+            for c in circles]
+
+
+CONTOUR_DOMAINS = {
+    "entire": entire_domain(),
+    "cut plane": catalog("log").domain,
+    "punctured": catalog("pow:-1").domain,
+}
+
+_COORD = st.floats(-3.0, 3.0)
+_NEAR = st.floats(-6.5, -1.0).map(lambda u: 10.0 ** u)
+_SPHERES = st.one_of(
+    st.builds(Sphere, _COORD, st.just(0.0)),
+    st.builds(Sphere, _COORD, st.floats(0.0, 1e-3)),
+    st.builds(Sphere, _COORD, st.floats(0.0, 3.0)),
+    # near the tip of the log cut and the pole of pow:-1 at 0
+    st.builds(lambda r, t: Sphere(r * math.cos(t), r * math.sin(t)),
+              _NEAR, st.floats(0.0, math.pi)),
+    # near the cut, inside its buffer of 1e-6 and outside it
+    st.builds(Sphere, st.floats(-2.0, 0.0), _NEAR),
+)
+
+
+@st.composite
+def _sphere_sets(draw):
+    spheres = draw(st.lists(_SPHERES, max_size=3))
+    # a cluster of spheres about one centre, so circles overlap and merge
+    base = draw(_SPHERES)
+    offsets = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+    spheres += [Sphere(base.re + dx, abs(base.im_norm + dy))
+                for dx, dy in draw(st.lists(offsets, min_size=1, max_size=4))]
+    return SphereSet(tuple((sph, 1) for sph in spheres), 1e-8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spheres=_sphere_sets(), domain=st.sampled_from(sorted(CONTOUR_DOMAINS)))
+def test_contour_is_the_upper_half_of_the_full_reference(spheres, domain):
+    # on every rung of the margin ladder the circles are bitwise the
+    # reference's circles on or above the axis, in its order, and
+    # DomainTooTight is raised exactly where the reference raises it;
+    # auto_contour takes the first rung the reference builds
+    dom = CONTOUR_DOMAINS[domain]
+    scale = 1.0 + spheres.max_abs()
+    margin, first = 0.45 * scale, None
+    for _ in range(24):
+        # the reference ladder's other limit, 1e-6 of the scale, never binds
+        assert margin >= 1e-6 * scale
+        want = _bits(lambda *a: [c for c in _full_build_contour(*a)
+                                 if c.center.imag >= 0.0], spheres, dom, margin)
+        got = _bits(lambda *a: build_contour(*a).circles, spheres, dom, margin)
+        assert got == want, margin
+        if first is None:
+            first = want
+        margin *= 0.6
+    assert _bits(lambda: auto_contour(spheres, dom).circles) == first
 
 
 # ---------------------------------------------------------------- riesz_dunford
@@ -233,7 +365,7 @@ def _resolving_trapezoid(contour, h, at_nodes, nodes=32):
     while count <= qcalc.NODE_CAP:
         rot = np.exp(2j * np.pi * np.arange(count) / count)
         total = 0.0
-        for circ in contour.circles:
+        for circ in _both_halves(contour):
             z = circ.center + circ.radius * rot
             fv = np.asarray(h(z)) * (circ.radius * rot / count)
             total = total + np.tensordot(fv, at_nodes(z), 1)
@@ -277,7 +409,7 @@ def _contour_case(circles):
     values, margin = CONTOUR_CASES[circles]
     spheres = SphereSet(tuple((sphere_of(q), 1) for q in values), 1e-8)
     contour = build_contour(spheres, entire_domain(), margin)
-    assert len(contour.circles) == circles
+    assert len(_both_halves(contour)) == circles
     return _triangular(values, 229 + circles), contour
 
 
@@ -328,7 +460,7 @@ def _recording_h(route, seen):
 
 def _final_node_count(contour, z):
     """N such that z holds every node of the N-point rule once, else fail."""
-    circles = contour.circles
+    circles = _both_halves(contour)
     count, rest = divmod(len(z), len(circles))
     assert rest == 0 and count >= 64 and count % 32 == 0
     assert (count // 32) & (count // 32 - 1) == 0, count
@@ -348,12 +480,12 @@ def _solves(route, contour, count):
 
     The complex path solves every node; the s-contour path solves one
     pencil per sphere, which a node shares with its conjugate: N per
-    pair of mirror circles and N/2 + 1 per real-centred circle.
+    circle above the axis and N/2 + 1 per real-centred circle.
     """
     if route == "complex_path":
-        return len(contour.circles) * count
+        return len(_both_halves(contour)) * count
     axis = sum(c.center.imag == 0.0 for c in contour.circles)
-    return (len(contour.circles) - axis) // 2 * count + axis * (count // 2 + 1)
+    return (len(contour.circles) - axis) * count + axis * (count // 2 + 1)
 
 
 def _spheres(z):
@@ -376,7 +508,8 @@ def test_nested_trapezoid_solves_each_node_once(monkeypatch, route, circles):
         assert sum(stacks) == _spheres(z)
     # at n <= 8 a level's new nodes on all circles fit one batch
     size = 2 * A.n
-    assert len(contour.circles) * count // 2 <= qcalc._BATCH_ENTRIES // size**2
+    assert (len(_both_halves(contour)) * count // 2
+            <= qcalc._BATCH_ENTRIES // size**2)
     levels = int(math.log2(count // 32)) + 1
     assert len(stacks) == levels
     assert stacks[0] == _solves(route, contour, 32)
@@ -386,8 +519,7 @@ def test_nested_trapezoid_solves_each_node_once(monkeypatch, route, circles):
 def test_nested_trapezoid_batches_stay_bounded_at_n64(monkeypatch, route):
     n = 64
     A = random_qmatrix(rng(233), n, scale=0.02)
-    contour = SliceContour((Circle(0j, 1.0), Circle(3.0 - 2.0j, 0.5),
-                            Circle(3.0 + 2.0j, 0.5)))
+    contour = SliceContour((Circle(0j, 1.0), Circle(3.0 + 2.0j, 0.5)))
     stacks, seen = _record_quadrature(monkeypatch), []
     _route_sum(route, A, _recording_h(route, seen), contour)
     z = np.concatenate(seen)

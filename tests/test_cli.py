@@ -342,6 +342,19 @@ def test_envelope_is_one_compact_line(tmp_path, capsys):
 
 # ---------------------------------------------------------------- exit codes
 
+def test_exit_three_on_a_non_finite_series_term(tmp_path, capsys):
+    # the powers of A overflow before the Neumann series settles
+    A = random_qmatrix(rng(1), 8)
+    path = write_matrix(tmp_path, "a.json", A)
+    at = f"{1.05 * qspec.s_spectral_radius(A, 'eig')!r},0,0,0"
+    code, env, err = run_cli(capsys, "pencil-inverse", "--at", at,
+                             "--method", "neumann", "--input", path)
+    assert code == 3
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[NoConvergence]")
+
+
 def test_exit_one_on_missing_file(capsys):
     code, env, err = run_cli(capsys, "spectrum", "--input", "/no/such/file")
     assert code == 1

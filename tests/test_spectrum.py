@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -451,6 +452,25 @@ def test_series_raise_no_convergence_at_the_term_cap(monkeypatch):
     for side in ("L", "R"):
         with pytest.raises(NoConvergence, match="term cap"):
             s_resolvent(A, Quaternion(0.6, 0.8) * (1.1 * A.norm), side, "series")
+
+
+def test_series_stop_at_the_first_non_finite_term():
+    # A^n overflows near n = 425 here, before the Neumann series settles
+    # at |q| = 1.05 r_S; 100^n overflows near n = 155, before the
+    # resolvent series settles at |s| = 102.  Each raises at once, where
+    # a NaN term norm used to run all SERIES_TERM_CAP terms, and no
+    # overflow warning escapes.
+    A = random_qmatrix(rng(1), 8)
+    q = Quaternion(1.05 * s_spectral_radius(A, "eig"))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match=r"pencil series term \d+ is not finite"):
+        q_pencil_inverse(A, q, "neumann")
+    assert time.perf_counter() - start < 5.0
+    for side in ("L", "R"):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="resolvent series term .* not finite"):
+            s_resolvent(QMatrix.diag([100.0]), 102.0, side, "series")
+        assert time.perf_counter() - start < 5.0
 
 
 def test_resolvent_rejects_bad_arguments():

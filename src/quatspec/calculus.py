@@ -23,6 +23,7 @@ above the axis standing for itself and its mirror.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ from .slicefn import (
 )
 from .spectrum import (
     SphereSet,
+    _power_series,
     distance_to_spectrum,
     s_resolvent,
     s_spectrum,
@@ -84,7 +86,7 @@ __all__ = [
 
 NODE_CAP = 1 << 16
 QUAD_REL_TOL = 1e-10
-EXP_SERIES_TOL = 1e-16  # relative size of the last exponential series term
+EXP_SERIES_TOL = 1e-16  # relative size of the last two exponential series terms
 SUITE_TOL = 1e-8  # largest discrepancy a verify suite passes with
 _BATCH_ENTRIES = 1 << 16  # matrix entries per batched solve
 
@@ -383,23 +385,22 @@ def calculus_sided(A: QMatrix, f: StemFunction,
 
 
 def op_exp(A: QMatrix) -> QMatrix:
-    """Matrix exponential by scaled power series with repeated squaring."""
+    """Matrix exponential by the power series of B = A / 2^h, ||B|| <= 0.5.
+
+    The sum runs to EXP_SERIES_TOL and is squared h times; a norm or a
+    result that is not finite raises NoConvergence.
+    """
     nrm = A.norm
-    halvings = 0
-    if nrm > 0.5:
-        halvings = int(math.ceil(math.log2(nrm / 0.5)))
-    B = A * (0.5 ** halvings)
-    total = QMatrix.identity(A.n)
-    term = QMatrix.identity(A.n)
-    for k in range(1, 200):
-        term = (term @ B) * (1.0 / k)
-        total = total + term
-        if term.norm <= EXP_SERIES_TOL * (1.0 + total.norm):
-            break
-    else:
-        raise NoConvergence("exponential series failed to truncate")
-    for _ in range(halvings):
-        total = total @ total
+    if not math.isfinite(nrm):
+        raise NoConvergence(f"exponential of a matrix of norm {nrm}")
+    halvings = math.ceil(math.log2(nrm / 0.5)) if nrm > 0.5 else 0
+    total = _power_series(A * (0.5 ** halvings), itertools.accumulate(
+        itertools.count(1), lambda c, k: c / k, initial=1.0), tol=EXP_SERIES_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(halvings):
+            total = total @ total
+        if not math.isfinite(total.norm):
+            raise NoConvergence("exponential overflows")
     return total
 
 

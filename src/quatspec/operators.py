@@ -20,6 +20,7 @@ component (all a's, then b's, c's, d's), which for n = 1 is the plain
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -119,7 +120,8 @@ class QMatrix:
     @cached_property
     def norm(self) -> float:
         """Frobenius norm, the operator-norm surrogate used throughout."""
-        return float(np.sqrt(np.sum(np.abs(self.x) ** 2) + np.sum(np.abs(self.y) ** 2)))
+        x, y = self.x, self.y
+        return math.sqrt(np.vdot(x, x).real + np.vdot(y, y).real)
 
     @cached_property
     def squared(self) -> "QMatrix":

@@ -58,7 +58,7 @@ CLASSIFY_REL_TOL = 1e-10
 
 EIG_RESIDUAL_TOL = 1e-8  # eigen-residual bound relative to ||M||_F
 CLUSTER_REL_TOL = 1e-8  # default clustering radius over 1 + ||A||_F
-SERIES_TOL = 1e-12  # relative size of the last series term
+SERIES_TOL = 1e-12  # relative size of the last two series terms
 CROSS_CHECK_TOL = 1e-6  # relative gap between the two distances
 SERIES_TERM_CAP = 10 ** 6
 
@@ -268,27 +268,52 @@ def neumann_coefficients(q: Quaternion, count: int) -> list[Quaternion]:
     return list(itertools.islice(_neumann_terms(q), count))
 
 
-def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
-    rad = s_spectral_radius(A, "eig")
-    if abs(q) <= rad * (1.0 + 1e-12):
-        raise SeriesDiverges(
-            f"|q| = {abs(q):.6g} is inside the spectral radius {rad:.6g}")
+def _power_series(A: QMatrix, coefficients, times=QMatrix.__mul__,
+                  tol: float = SERIES_TOL, scale: float = 1.0) -> QMatrix:
+    """Sum of times(scale A^n, c_n) over c_0, c_1, ..., for A at unit scale.
+
+    The one series loop: it stops once two consecutive terms are within
+    tol * (scale + ||sum||) together, and raises NoConvergence at the
+    first non-finite term or at SERIES_TERM_CAP terms.
+    """
     total = QMatrix.zeros(A.n)
-    P = QMatrix.identity(A.n)
-    # P overflows where the series needs more terms than floats can carry;
-    # the first non-finite term ends the loop
+    last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, acc in enumerate(itertools.islice(_neumann_terms(q), SERIES_TERM_CAP)):
-            if max(abs(acc.b), abs(acc.c), abs(acc.d)) > 1e-12 * (1.0 + abs(acc)):
-                raise NoConvergence("series coefficient lost realness")
-            term = acc.a * P
+        P = QMatrix.identity(A.n) * scale
+        for k, c in enumerate(itertools.islice(coefficients, SERIES_TERM_CAP)):
+            term = times(P, c)
             total = total + term
             if not math.isfinite(term.norm):
-                raise NoConvergence(f"pencil series term {k} is not finite")
-            if term.norm <= SERIES_TOL * (1.0 + total.norm):
+                raise NoConvergence(f"series term {k} is not finite")
+            if last + term.norm <= tol * (scale + total.norm):
                 return total
+            last = term.norm
             P = P @ A
-    raise NoConvergence("pencil series hit the term cap")
+    raise NoConvergence("series hit the term cap")
+
+
+def _past_cap(rate: float) -> bool:
+    """Whether terms shrinking like rate^n need more than SERIES_TERM_CAP."""
+    return rate > 0.0 and math.log(rate) * SERIES_TERM_CAP > math.log(SERIES_TOL)
+
+
+def _real_parts(coefficients):
+    for a in coefficients:
+        if max(abs(a.b), abs(a.c), abs(a.d)) > 1e-12 * (1.0 + abs(a)):
+            raise NoConvergence("series coefficient lost realness")
+        yield a.a
+
+
+def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
+    rad = s_spectral_radius(A, "eig")
+    rho = abs(q)
+    if rho <= rad * (1.0 + 1e-12):
+        raise SeriesDiverges(f"|q| = {rho:.6g} is inside the spectral radius {rad:.6g}")
+    if _past_cap(rad / rho):
+        raise NoConvergence(f"|q| / r_S = {rho / rad:.12g} would pass the term cap")
+    # Q_q(A)^-1 = rho^-2 Q_(q/rho)(A/rho)^-1
+    return _power_series(A * (1.0 / rho), _real_parts(_neumann_terms(q / rho)),
+                         scale=1.0 / rho / rho)
 
 
 def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
@@ -304,8 +329,9 @@ def q_pencil_inverse(A: QMatrix, q, method: str = "direct") -> QMatrix:
 
     "direct" inverts the complex adjoint and pulls the result back.
     "neumann" sums Q_q(A)^-1 = sum_n a_n A^n with the real coefficients
-    a_n, valid for |q| beyond the spectral radius, truncated at SERIES_TOL
-    relative.  Singularity of the pencil raises Singular.
+    a_n, valid for |q| beyond the spectral radius, summed at unit scale
+    to SERIES_TOL relative, or refused up front past SERIES_TERM_CAP.
+    Singularity of the pencil raises Singular.
     """
     q = as_quaternion(q)
     if method == "neumann":
@@ -323,7 +349,8 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     formula:  L(s) = -Q_s(A)^-1 (A - conj(s) I)
               R(s) = -(A - conj(s) I) Q_s(A)^-1
     series:   L(s) = sum A^n s^(-n-1),  R(s) = sum s^(-n-1) A^n,
-              valid for |s| > ||A||, truncated at SERIES_TOL relative.
+              valid for |s| > ||A||, summed at unit scale to SERIES_TOL
+              relative, or refused up front past SERIES_TERM_CAP.
     """
     s = as_quaternion(s)
     if side not in ("L", "R"):
@@ -335,24 +362,18 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
         return -(Qinv @ B) if side == "L" else -(B @ Qinv)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    if abs(s) <= A.norm:
+    rho = abs(s)
+    if rho <= A.norm:
         raise SeriesDiverges(
-            f"|s| = {abs(s):.6g} is not beyond the norm bound {A.norm:.6g}")
-    si = s.inverse()
-    coeff = si
-    P = QMatrix.identity(n)
-    total = QMatrix.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(SERIES_TERM_CAP):
-            term = P.scalar_right(coeff) if side == "L" else P.scalar_left(coeff)
-            total = total + term
-            if not math.isfinite(term.norm):
-                raise NoConvergence(f"resolvent series term {k} is not finite")
-            if term.norm <= SERIES_TOL * (1.0 + total.norm):
-                return total
-            P = P @ A
-            coeff = coeff * si
-    raise NoConvergence("resolvent series hit the term cap")
+            f"|s| = {rho:.6g} is not beyond the norm bound {A.norm:.6g}")
+    # the eigen-solve is read only when the norm bound fails
+    if _past_cap(A.norm / rho) and _past_cap(s_spectral_radius(A, "eig") / rho):
+        raise NoConvergence(f"|s| = {rho:.12g} is too near r_S: past the term cap")
+    # L_A(s) = rho^-1 L_(A/rho)(s/rho), and R likewise
+    si = (s / rho).inverse()
+    times = QMatrix.scalar_right if side == "L" else QMatrix.scalar_left
+    return _power_series(A * (1.0 / rho), itertools.accumulate(
+        itertools.repeat(si), Quaternion.__mul__), times, scale=1.0 / rho)
 
 
 class Classification(NamedTuple):

@@ -342,13 +342,50 @@ def test_envelope_is_one_compact_line(tmp_path, capsys):
 
 # ---------------------------------------------------------------- exit codes
 
-def test_exit_three_on_a_non_finite_series_term(tmp_path, capsys):
-    # the powers of A overflow before the Neumann series settles
+def test_neumann_answers_where_unscaled_powers_overflowed(tmp_path, capsys):
+    # the powers of A overflowed before the Neumann series settles; at
+    # unit scale the series agrees with the direct inverse
     A = random_qmatrix(rng(1), 8)
     path = write_matrix(tmp_path, "a.json", A)
     at = f"{1.05 * qspec.s_spectral_radius(A, 'eig')!r},0,0,0"
-    code, env, err = run_cli(capsys, "pencil-inverse", "--at", at,
+    entries = []
+    for method in ("neumann", "direct"):
+        code, env, _ = run_cli(capsys, "pencil-inverse", "--at", at,
+                               "--method", method, "--input", path)
+        assert code == 0
+        entries.append(parse_matrix_text(json.dumps(env["payload"]["matrix"])))
+    series, direct = entries
+    assert (series - direct).norm <= 1e-10 * direct.norm
+
+
+def test_neumann_at_a_point_where_every_other_coefficient_vanishes(capsys, tmp_path):
+    # a_n = sin((n + 1) pi / 2) vanishes at odd n on the README's matrix
+    path = tmp_path / "i.json"
+    path.write_text('{"n": 1, "entries": [[[0, 1, 0, 0]]]}')
+    code, env, _ = run_cli(capsys, "pencil-inverse", "--at", "0,2,0,0",
+                           "--method", "neumann", "--input", str(path))
+    assert code == 0
+    a, b, c, d = env["payload"]["matrix"]["entries"][0][0]
+    assert abs(a - 1 / 3) <= 1e-12 and b == c == d == 0.0
+
+
+def test_exit_three_on_a_non_finite_series_term(tmp_path, capsys):
+    # Q_q(0)^-1 = |q|^-2 I overflows at |q| = 1e-200
+    path = write_matrix(tmp_path, "z.json", QMatrix.zeros(1))
+    code, env, err = run_cli(capsys, "pencil-inverse", "--at", "1e-200,0,0,0",
                              "--method", "neumann", "--input", path)
+    assert code == 3
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[NoConvergence]")
+
+
+@pytest.mark.parametrize("entry", ["800", "1e200"])
+def test_exit_three_when_exp_overflows(tmp_path, capsys, entry):
+    # exp(800) overflows in the squarings; ||A|| overflows at 1e200
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"n": 1, "entries": [[[{entry}, 0, 0, 0]]]}}')
+    code, env, err = run_cli(capsys, "exp", "--input", str(path))
     assert code == 3
     assert env is None
     assert err.count("\n") == 1

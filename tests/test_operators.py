@@ -57,6 +57,15 @@ def test_components_round_trip():
     assert A == B
 
 
+def test_norm_is_the_frobenius_norm_of_the_components():
+    gen = rng(203)
+    for n in (1, 4, 8):
+        A = random_qmatrix(gen, n, scale=10.0 ** gen.uniform(-3, 3))
+        want = np.linalg.norm(np.stack(A.components()))
+        assert abs(A.norm - want) <= 1e-15 * want
+    assert QMatrix.zeros(3).norm == 0.0
+
+
 def test_arrays_are_frozen():
     A = QMatrix.identity(2)
     with pytest.raises(ValueError):

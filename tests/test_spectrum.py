@@ -455,22 +455,95 @@ def test_series_raise_no_convergence_at_the_term_cap(monkeypatch):
 
 
 def test_series_stop_at_the_first_non_finite_term():
-    # A^n overflows near n = 425 here, before the Neumann series settles
-    # at |q| = 1.05 r_S; 100^n overflows near n = 155, before the
-    # resolvent series settles at |s| = 102.  Each raises at once, where
-    # a NaN term norm used to run all SERIES_TERM_CAP terms, and no
-    # overflow warning escapes.
+    # an infinite coefficient ends the shared loop at once; its 0 * inf
+    # entries stay silent (RuntimeWarnings fail the suite)
+    coefficients = itertools.chain([1.0, math.inf], itertools.repeat(1.0))
+    with pytest.raises(NoConvergence, match="series term 1 is not finite"):
+        qspec._power_series(QMatrix.identity(2) * 0.5, coefficients)
+
+
+def test_series_loop_raises_at_the_term_cap(monkeypatch):
+    # A = I with c_n = 1: the terms never shrink
+    monkeypatch.setattr(qspec, "SERIES_TERM_CAP", 50)
+    with pytest.raises(NoConvergence, match="term cap"):
+        qspec._power_series(QMatrix.identity(2), itertools.repeat(1.0))
+
+
+def test_series_answer_where_unscaled_powers_overflowed():
+    # A^n overflowed near n = 425 before the Neumann series settles at
+    # |q| = 1.05 r_S, and 100^n near n = 155 before the resolvent series
+    # settles at |s| = 102; at unit scale both are answers
     A = random_qmatrix(rng(1), 8)
     q = Quaternion(1.05 * s_spectral_radius(A, "eig"))
     start = time.perf_counter()
-    with pytest.raises(NoConvergence, match=r"pencil series term \d+ is not finite"):
-        q_pencil_inverse(A, q, "neumann")
+    series = q_pencil_inverse(A, q, "neumann")
     assert time.perf_counter() - start < 5.0
+    direct = q_pencil_inverse(A, q, "direct")
+    assert (series - direct).norm <= 1e-10 * direct.norm
     for side in ("L", "R"):
         start = time.perf_counter()
-        with pytest.raises(NoConvergence, match="resolvent series term .* not finite"):
-            s_resolvent(QMatrix.diag([100.0]), 102.0, side, "series")
+        got = s_resolvent(QMatrix.diag([100.0]), 102.0, side, "series")
         assert time.perf_counter() - start < 5.0
+        assert_quat_close(got.entry(0, 0), Quaternion(0.5), 1e-10)
+
+
+@pytest.mark.parametrize("unit", [2.0 * I, 2.0 * J,
+                                  Quaternion(1.0, math.sqrt(3.0)),
+                                  Quaternion(-1.0, 0.0, 0.0, math.sqrt(3.0))],
+                         ids=["2i", "2j", "pi/3", "2pi/3"])
+def test_neumann_matches_direct_where_coefficients_vanish(unit):
+    # a_n = sin((n + 1) theta) / sin(theta) at unit scale vanishes at these
+    # angles; one small term must not end the sum
+    A = random_qmatrix(rng(3), 3)
+    q = unit * s_spectral_radius(A, "eig")
+    direct = q_pencil_inverse(A, q, "direct")
+    series = q_pencil_inverse(A, q, "neumann")
+    assert (series - direct).norm <= 1e-10 * direct.norm
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_series_are_scale_invariant(c):
+    # Q_(cq)(cA)^-1 = c^-2 Q_q(A)^-1 and c L_(cA)(cs) = L_A(s)
+    A = random_qmatrix(rng(1), 8)
+    q = Quaternion(0.3, -1.2, 0.5, 0.8)
+    q = q * (2.0 * s_spectral_radius(A, "eig") / abs(q))
+    s = q * (1.5 * A.norm / abs(q))
+    want = q_pencil_inverse(A, q, "neumann")
+    got = q_pencil_inverse(A * c, q * c, "neumann") * (c * c)
+    assert (got - want).norm <= 1e-13 * want.norm
+    for side in ("L", "R"):
+        want = s_resolvent(A, s, side, "series")
+        got = s_resolvent(A * c, s * c, side, "series") * c
+        assert (got - want).norm <= 1e-13 * want.norm
+
+
+def test_hopeless_series_are_refused_up_front():
+    # at unit scale no overflow ends these sums: only the up-front
+    # refusal keeps them from running to the term cap for minutes
+    for scale in (1.0, 0.1):  # r_S = 3.04 and 0.304
+        A = random_qmatrix(rng(1), 4) * scale
+        q = Quaternion(s_spectral_radius(A, "eig") * (1.0 + 1e-7))
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            q_pencil_inverse(A, q, "neumann")
+        assert time.perf_counter() - start < 1.0
+    for side in ("L", "R"):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            s_resolvent(QMatrix.diag([100.0]), 100.0 * (1.0 + 1e-7), side, "series")
+        assert time.perf_counter() - start < 1.0
+
+
+def test_resolvent_series_refusal_spares_the_eigen_solve():
+    # a nilpotent A fails the norm bound but has r_S = 0; where the bound
+    # holds no eigen-solve is run
+    N = QMatrix.from_entries([[0.0, 10.0], [0.0, 0.0]])
+    s = 10.0000001
+    got = s_resolvent(N, s, "L", "series")
+    assert_quat_close(got.entry(0, 1), Quaternion(10.0 / s ** 2), 1e-15)
+    A = random_qmatrix(rng(5), 4)
+    s_resolvent(A, Quaternion(0.0, 1.02 * A.norm), "L", "series")
+    assert "chi_eigenvalues" not in vars(A)
 
 
 def test_resolvent_rejects_bad_arguments():

@@ -65,6 +65,7 @@ from .spectrum import (
     _power_series,
     distance_to_spectrum,
     s_resolvent,
+    s_spectral_radius,
     s_spectrum,
 )
 
@@ -142,30 +143,28 @@ def _enclose(c1: Circle, c2: Circle) -> Circle:
 
 
 def _fold_to_axis(c: Circle) -> Circle:
-    # smallest real-centered circle containing the disk and its mirror
-    return Circle(complex(c.center.real, 0.0), c.center.imag + c.radius)
+    """c, or if it reaches the axis, the axis circle enclosing it and its mirror."""
+    if c.center.imag < c.radius + 1e-12 * (1.0 + abs(c.center) + c.radius):
+        return Circle(complex(c.center.real, 0.0), c.center.imag + c.radius)
+    return c
 
 
 def _merge_upper(circles: list[Circle]) -> list[Circle]:
     """Disjoint circles on or above the axis covering the given ones.
 
-    Each round first folds onto the axis every circle whose disk reaches
-    it, as it would overlap its own mirror; a circle on the axis folds to
-    itself.  Then the first overlapping pair (i, j), i < j, gives way to
-    its enclosing circle, appended last.  Each round that does not
-    return merges two circles into one, so the loop ends after at most
-    len(circles) - 1 merges.
+    The input folds onto the axis once (_fold_to_axis).  Then each round
+    replaces the first overlapping pair (i, j), i < j, by its enclosing
+    circle, folded and appended last; only a merged circle can newly
+    reach the axis.  Each round that does not return merges two circles
+    into one, so the loop ends after at most len(circles) - 1 merges.
     """
-    cs = list(circles)
+    cs = [_fold_to_axis(c) for c in circles]
     while True:
-        cs = [_fold_to_axis(c)
-              if c.center.imag < c.radius + 1e-12 * (1.0 + abs(c.center) + c.radius)
-              else c for c in cs]
         pair = next(((i, j) for i in range(len(cs)) for j in range(i + 1, len(cs))
                      if _overlap(cs[i], cs[j])), None)
         if pair is None:
             return cs
-        merged = _enclose(cs[pair[0]], cs[pair[1]])
+        merged = _fold_to_axis(_enclose(cs[pair[0]], cs[pair[1]]))
         cs = [c for t, c in enumerate(cs) if t not in pair] + [merged]
 
 
@@ -187,22 +186,22 @@ def _disk_in_domain(center: complex, radius: float, domain: AxSymDomain) -> bool
     return True
 
 
-def build_contour(spheres: SphereSet, domain: AxSymDomain,
-                  margin: float) -> SliceContour:
-    """Circles of the given margin around every spectral sphere.
+def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
+    """Circles of the given margin around every spectral point.
 
-    Each sphere gets a circle of radius margin about its upper slice
-    representative, which _merge_upper folds onto the real axis when it
-    reaches the axis and merges with any circle it overlaps, so every
-    sphere representative stays at least the margin away from the final
-    contour.  The circles come sorted by centre.  Disks leaving the
-    domain raise DomainTooTight; the domain is symmetric, so the mirror
-    disks need no check.
+    points is any complex array, such as A.chi_eigenvalues.  Each distinct
+    (Re z, |Im z|), in sorted order, seeds a circle of radius margin, which
+    _merge_upper folds onto the real axis when it reaches the axis and
+    merges with any circle it overlaps, so every point and its conjugate
+    stay at least the margin away from the final contour.  The circles come
+    sorted by centre.  Disks leaving the domain raise DomainTooTight; the
+    domain is symmetric, so the mirror disks need no check.
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    circles = sorted(_merge_upper([Circle(complex(sph.re, sph.im_norm), margin)
-                                   for sph, _ in spheres.spheres]),
+    seeds = np.sort(np.real(points) + 1j * np.abs(np.imag(points)))
+    seeds = seeds[np.append(True, seeds[1:] != seeds[:-1])]  # np.unique loads numpy.ma
+    circles = sorted(_merge_upper([Circle(complex(s), margin) for s in seeds]),
                      key=lambda c: (c.center.real, c.center.imag))
     for c in circles:
         if not _disk_in_domain(c.center, c.radius, domain):
@@ -211,13 +210,13 @@ def build_contour(spheres: SphereSet, domain: AxSymDomain,
     return SliceContour(tuple(circles))
 
 
-def auto_contour(spheres: SphereSet, domain: AxSymDomain) -> SliceContour:
-    """Widest admissible contour from a ladder of 24 margins shrinking by 0.6."""
-    margin = 0.45 * (1.0 + spheres.max_abs())
+def auto_contour(points, domain: AxSymDomain) -> SliceContour:
+    """Widest build_contour of 24 margins from 0.45 (1 + max |z|) down by 0.6."""
+    margin = 0.45 * (1.0 + float(np.abs(points).max()))
     last = None
     for _ in range(24):
         try:
-            return build_contour(spheres, domain, margin)
+            return build_contour(points, domain, margin)
         except DomainTooTight as exc:
             last = exc
         margin *= 0.6
@@ -360,18 +359,19 @@ def calculus_sided(A: QMatrix, f: StemFunction,
                    method: str = "complex_path") -> QMatrix:
     """f(A) for f of any kind, in one quadrature pass over all pieces.
 
-    complex_path runs the holomorphic calculus on chi(A) and pulls back
-    (StructureViolation signals broken quadrature); s_contour integrates
-    the left S-resolvent of A.  The pieces recombine with 1, i, j, k: on
-    the left for a right function, else on the right.
+    The contour encloses A.chi_eigenvalues, unclustered, each of which
+    must lie in f's domain (else DomainTooTight).  complex_path runs the
+    holomorphic calculus on chi(A) and pulls back (StructureViolation
+    signals broken quadrature); s_contour integrates the left
+    S-resolvent of A.  The pieces recombine with 1, i, j, k: on the left
+    for a right function, else on the right.
     """
-    spheres = s_spectrum(A)
-    for sph, _ in spheres.spheres:
-        if not f.domain.contains(sph.re, sph.im_norm):
-            raise DomainTooTight(
-                f"spectral sphere ({sph.re:.6g}, {sph.im_norm:.6g}) "
-                "lies outside the domain")
-    contour = auto_contour(spheres, f.domain)
+    lam = A.chi_eigenvalues
+    outside = lam[~f.domain.contains(lam.real, lam.imag)]
+    if outside.size:
+        raise DomainTooTight(f"spectral sphere ({outside[0].real:.6g}, "
+                             f"{abs(outside[0].imag):.6g}) lies outside the domain")
+    contour = auto_contour(lam, f.domain)
     h = _slice_values(f)
     if method == "complex_path":
         stack = riesz_dunford(complex_adjoint(A), h, contour)
@@ -553,7 +553,7 @@ def _suite_polynomial(A, rng):
 
 def _suite_distance(A, rng):
     cases = []
-    top = s_spectrum(A).max_abs()
+    top = s_spectral_radius(A)
     for trial in range(3):
         alpha = (top + 0.5 + float(rng.uniform(0.0, 2.0))) * \
             (1.0 if trial % 2 == 0 else -1.0)

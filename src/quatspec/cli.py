@@ -98,7 +98,10 @@ def parse_matrix_text(text: str) -> QMatrix:
         r, c, k = bad[0]
         raise NonFiniteEntry(
             f"entry component {entries[r][c][k]!r} is not finite")
-    return QMatrix.from_components(*np.moveaxis(grid, -1, 0))
+    A = QMatrix.from_components(*np.moveaxis(grid, -1, 0))
+    if not math.isfinite(A.norm):
+        raise NonFiniteEntry("the Frobenius norm of the matrix overflows")
+    return A
 
 
 def matrix_payload(M: QMatrix) -> dict:

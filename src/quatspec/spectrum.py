@@ -222,6 +222,8 @@ def s_spectral_radius(A: QMatrix, method: str = "eig") -> float:
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     nrm = A.norm
+    if not math.isfinite(nrm):
+        raise NoConvergence(f"power estimate of a matrix of norm {nrm}")
     if nrm == 0.0:
         return 0.0
     C = A * (1.0 / nrm)
@@ -412,18 +414,17 @@ class DistanceResult(NamedTuple):
 def distance_to_spectrum(A: QMatrix, alpha: float) -> DistanceResult:
     """Distance from a real point to the S-spectrum, computed two ways.
 
-    Geometrically it is the least distance to any spectral sphere; it
-    also equals 1 / r_S((alpha I - A)^-1).  Both values are returned and
-    cross-checked.  A spectral alpha raises AlphaInSpectrum, a NaN or an
-    infinity NonFiniteEntry.
+    Geometrically it is the least |lambda - alpha| over A.chi_eigenvalues,
+    the eigenvalues of chi(A); it also equals 1 / r_S((alpha I - A)^-1).
+    Both values are returned and cross-checked.  A spectral alpha raises
+    AlphaInSpectrum, a NaN or an infinity NonFiniteEntry.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise NonFiniteEntry(f"alpha must be finite, got {alpha}")
     if classify(A, Quaternion(alpha)).verdict == "point_spectrum":
         raise AlphaInSpectrum(f"alpha = {alpha:.6g} lies on the S-spectrum")
-    spheres = s_spectrum(A)
-    geo = spheres.min_param_distance(alpha, 0.0)
+    geo = float(np.abs(A.chi_eigenvalues - alpha).min())
     B = QMatrix.scalar(A.n, Quaternion(alpha)) - A
     r = s_spectral_radius(quaternion_matrix_inverse(B), "eig")
     via = 1.0 / r

@@ -17,6 +17,7 @@ from quatspec import (
     I,
     J,
     K,
+    NoConvergence,
     NotIntrinsic,
     ONE,
     QMatrix,
@@ -53,6 +54,7 @@ from quatspec import (
 from quatspec.calculus import _s_contour_value
 from quatspec.operators import _pull_back
 from quatspec.slicefn import INTRINSIC, RIGHT
+from test_spectrum import _planted_jordan
 
 from _helpers import (
     assert_matrix_close,
@@ -63,8 +65,9 @@ from _helpers import (
 )
 
 
-def single_sphere(re, im_norm, mult=1, tol=1e-8):
-    return SphereSet(((Sphere(re, im_norm), mult),), tol)
+def single_sphere(re, im_norm):
+    """The representative re + i im_norm of one sphere, as contour points."""
+    return [complex(re, im_norm)]
 
 
 def _both_halves(contour):
@@ -113,7 +116,7 @@ def test_contour_invariants_random():
     gen = rng(101)
     for _ in range(25):
         A = random_qmatrix(gen, int(gen.integers(1, 5)))
-        contour = auto_contour(s_spectrum(A), entire_domain())
+        contour = auto_contour(A.chi_eigenvalues, entire_domain())
         assert len(contour.circles) >= 1
         for c in contour.circles:
             assert c.radius > 0
@@ -125,10 +128,10 @@ def test_contour_invariants_random():
                 d = abs(circles[a].center - circles[b].center)
                 assert d > circles[a].radius + circles[b].radius, \
                     f"circles {a} and {b} intersect"
-        # every spectral representative strictly inside
-        for sph, _ in s_spectrum(A).spheres:
-            assert contour.encloses(complex(sph.re, sph.im_norm))
-            assert contour.encloses(complex(sph.re, -sph.im_norm))
+        # every eigenvalue of chi(A) and its conjugate strictly inside
+        for lv in A.chi_eigenvalues:
+            assert contour.encloses(lv)
+            assert contour.encloses(lv.conjugate())
 
 
 def test_contour_holds_its_upper_half():
@@ -157,6 +160,11 @@ def test_contour_domain_too_tight():
         auto_contour(single_sphere(-1.0, 0.0), catalog("log").domain)
 
 
+def _fold(c):
+    # smallest real-centered circle containing the disk and its mirror
+    return Circle(complex(c.center.real, 0.0), c.center.imag + c.radius)
+
+
 def _full_merge_upper(circles):
     """The merge loop of the contours that listed both halves: the reference."""
     cs = list(circles)
@@ -165,7 +173,7 @@ def _full_merge_upper(circles):
         for idx, c in enumerate(cs):
             eps = 1e-12 * (1.0 + abs(c.center) + c.radius)
             if 0.0 < c.center.imag < c.radius + eps:
-                cs[idx] = qcalc._fold_to_axis(c)
+                cs[idx] = _fold(c)
                 folded = True
         if folded:
             continue
@@ -183,20 +191,26 @@ def _full_merge_upper(circles):
         merged = qcalc._enclose(cs[i], cs[j])
         if (cs[i].center.imag == 0.0 or cs[j].center.imag == 0.0) \
                 and merged.center.imag != 0.0:
-            merged = qcalc._fold_to_axis(merged)
+            merged = _fold(merged)
         cs = [c for t, c in enumerate(cs) if t not in pair]
         cs.append(merged)
     raise AssertionError("reference merge did not stabilize")
 
 
-def _full_build_contour(spheres, domain, margin):
-    """Both halves of the contour, mirrors and domain checks included."""
+def _full_build_contour(points, domain, margin):
+    """Both halves of the contour, mirrors and domain checks included.
+
+    The points are sphere representatives, on or above the axis, taken
+    once each in the order of their real parts, then their heights; a
+    real part -0.0 is read as 0.0.
+    """
     upper = []
-    for sph, _ in spheres.spheres:
-        if sph.im_norm < margin:
-            upper.append(Circle(complex(sph.re, 0.0), sph.im_norm + margin))
+    seeds = {complex(z.real + 0.0, z.imag) for z in points}
+    for z in sorted(seeds, key=lambda z: (z.real, z.imag)):
+        if z.imag < margin:
+            upper.append(Circle(complex(z.real, 0.0), z.imag + margin))
         else:
-            upper.append(Circle(complex(sph.re, sph.im_norm), margin))
+            upper.append(Circle(z, margin))
     circles = []
     for c in _full_merge_upper(upper):
         circles.append(c)
@@ -227,66 +241,80 @@ CONTOUR_DOMAINS = {
 
 _COORD = st.floats(-3.0, 3.0)
 _NEAR = st.floats(-6.5, -1.0).map(lambda u: 10.0 ** u)
+# sphere representatives re + i im_norm
 _SPHERES = st.one_of(
-    st.builds(Sphere, _COORD, st.just(0.0)),
-    st.builds(Sphere, _COORD, st.floats(0.0, 1e-3)),
-    st.builds(Sphere, _COORD, st.floats(0.0, 3.0)),
+    st.builds(complex, _COORD, st.just(0.0)),
+    st.builds(complex, _COORD, st.floats(0.0, 1e-3)),
+    st.builds(complex, _COORD, st.floats(0.0, 3.0)),
     # near the tip of the log cut and the pole of pow:-1 at 0
-    st.builds(lambda r, t: Sphere(r * math.cos(t), r * math.sin(t)),
+    st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
               _NEAR, st.floats(0.0, math.pi)),
     # near the cut, inside its buffer of 1e-6 and outside it
-    st.builds(Sphere, st.floats(-2.0, 0.0), _NEAR),
+    st.builds(complex, st.floats(-2.0, 0.0), _NEAR),
 )
 
 
 @st.composite
 def _sphere_sets(draw):
-    spheres = draw(st.lists(_SPHERES, max_size=3))
+    points = draw(st.lists(_SPHERES, max_size=3))
     # a cluster of spheres about one centre, so circles overlap and merge
     base = draw(_SPHERES)
     offsets = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
-    spheres += [Sphere(base.re + dx, abs(base.im_norm + dy))
-                for dx, dy in draw(st.lists(offsets, min_size=1, max_size=4))]
-    return SphereSet(tuple((sph, 1) for sph in spheres), 1e-8)
+    points += [complex(base.real + dx, abs(base.imag + dy))
+               for dx, dy in draw(st.lists(offsets, min_size=1, max_size=4))]
+    return points
 
 
 @settings(max_examples=150, deadline=None)
-@given(spheres=_sphere_sets(), domain=st.sampled_from(sorted(CONTOUR_DOMAINS)))
-def test_contour_is_the_upper_half_of_the_full_reference(spheres, domain):
+@given(points=_sphere_sets(), domain=st.sampled_from(sorted(CONTOUR_DOMAINS)))
+def test_contour_is_the_upper_half_of_the_full_reference(points, domain):
     # on every rung of the margin ladder the circles are bitwise the
     # reference's circles on or above the axis, in its order, and
     # DomainTooTight is raised exactly where the reference raises it;
     # auto_contour takes the first rung the reference builds
     dom = CONTOUR_DOMAINS[domain]
-    scale = 1.0 + spheres.max_abs()
+    scale = 1.0 + float(np.abs(points).max())
     margin, first = 0.45 * scale, None
     for _ in range(24):
         # the reference ladder's other limit, 1e-6 of the scale, never binds
         assert margin >= 1e-6 * scale
         want = _bits(lambda *a: [c for c in _full_build_contour(*a)
-                                 if c.center.imag >= 0.0], spheres, dom, margin)
-        got = _bits(lambda *a: build_contour(*a).circles, spheres, dom, margin)
+                                 if c.center.imag >= 0.0], points, dom, margin)
+        got = _bits(lambda *a: build_contour(*a).circles, points, dom, margin)
         assert got == want, margin
         if first is None:
             first = want
         margin *= 0.6
-    assert _bits(lambda: auto_contour(spheres, dom).circles) == first
+    assert _bits(lambda: auto_contour(points, dom).circles) == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_sphere_sets(), domain=st.sampled_from(sorted(CONTOUR_DOMAINS)),
+       rung=st.integers(0, 23))
+def test_contour_of_points_ignores_their_conjugates(points, domain, rung):
+    # a point and its conjugate seed the same circle, so adding the
+    # conjugates, as the eigenvalues of chi(A) come, changes no bit
+    dom = CONTOUR_DOMAINS[domain]
+    margin = 0.45 * (1.0 + float(np.abs(points).max())) * 0.6 ** rung
+    both = points + [z.conjugate() for z in points]
+    assert _bits(lambda *a: build_contour(*a).circles, both, dom, margin) == \
+        _bits(lambda *a: build_contour(*a).circles, points, dom, margin)
+    assert _bits(lambda *a: auto_contour(*a).circles, both, dom) == \
+        _bits(lambda *a: auto_contour(*a).circles, points, dom)
 
 
 # ---------------------------------------------------------------- riesz_dunford
 
 def test_riesz_dunford_identity_function():
     M = np.diag([1.0 + 0j, 2.0 + 0j])
-    contour = build_contour(
-        SphereSet(((Sphere(1.0, 0.0), 1), (Sphere(2.0, 0.0), 1)), 1e-8),
-        entire_domain(), 0.3)
+    contour = build_contour([1.0, 2.0], entire_domain(), 0.3)
     out = riesz_dunford(M, lambda z: z, contour)
     assert np.max(np.abs(out - M)) < 1e-10
 
 
 def test_riesz_dunford_nilpotent_exp():
     M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    contour = build_contour(single_sphere(0.0, 0.0, 2), entire_domain(), 0.5)
+    contour = build_contour(single_sphere(0.0, 0.0), entire_domain(), 0.5)
     out = riesz_dunford(M, np.exp, contour)
     want = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert np.max(np.abs(out - want)) < 1e-10
@@ -332,7 +360,7 @@ def test_riesz_dunford_stalls_on_near_pole(route):
 def test_riesz_dunford_node_count_independent():
     gen = rng(107)
     M = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    contour = auto_contour(s_spectrum(random_qmatrix(gen, 1)), entire_domain())
+    contour = auto_contour(random_qmatrix(gen, 1).chi_eigenvalues, entire_domain())
     contour = SliceContour((Circle(0j, float(np.linalg.norm(M)) + 1.0),))
     coarse = riesz_dunford(M, np.exp, contour, nodes=8)
     fine = riesz_dunford(M, np.exp, contour, nodes=64)
@@ -344,8 +372,8 @@ def test_riesz_dunford_margin_independent():
     A = QMatrix.diag([I, 2.0 * J])
     M = complex_adjoint(A)
     h = restrict_to_slice(catalog("exp"))
-    spheres = s_spectrum(A)
-    results = [riesz_dunford(M, h, build_contour(spheres, entire_domain(), m))
+    lam = A.chi_eigenvalues
+    results = [riesz_dunford(M, h, build_contour(lam, entire_domain(), m))
                for m in (0.1, 0.2, 0.3, 0.5)]
     for other in results[1:]:
         diff = np.linalg.norm(other - results[0])
@@ -407,8 +435,8 @@ H_CASES = {
 
 def _contour_case(circles):
     values, margin = CONTOUR_CASES[circles]
-    spheres = SphereSet(tuple((sphere_of(q), 1) for q in values), 1e-8)
-    contour = build_contour(spheres, entire_domain(), margin)
+    points = [sphere_of(q).representative for q in values]
+    contour = build_contour(points, entire_domain(), margin)
     assert len(_both_halves(contour)) == circles
     return _triangular(values, 229 + circles), contour
 
@@ -674,7 +702,7 @@ def test_structure_violation_for_non_intrinsic_h():
     # complex-path result falls outside the embedded algebra
     gen = rng(127)
     A = random_qmatrix(gen, 2)
-    contour = auto_contour(s_spectrum(A), entire_domain())
+    contour = auto_contour(A.chi_eigenvalues, entire_domain())
     raw = riesz_dunford(complex_adjoint(A), lambda z: 1j * z, contour)
     with pytest.raises(StructureViolation):
         from_complex_adjoint(raw)
@@ -702,7 +730,7 @@ def test_structure_residual_small_for_intrinsic():
     gen = rng(131)
     from quatspec import adjoint_structure_residual
     A = random_qmatrix(gen, 3)
-    contour = auto_contour(s_spectrum(A), entire_domain())
+    contour = auto_contour(A.chi_eigenvalues, entire_domain())
     raw = riesz_dunford(complex_adjoint(A), np.exp, contour)
     assert adjoint_structure_residual(raw) < 1e-9 * (1 + np.linalg.norm(raw))
 
@@ -830,7 +858,9 @@ def test_sided_call_makes_one_pass(monkeypatch, method):
                              lambda a, b: np.broadcast(a, b).size),
                      f.domain, f.kind, f.label)
     calculus_sided(random_qmatrix(rng(191), 3, scale=0.7), f, method=method)
-    assert calls["spectrum"] == calls["contour"] == 1
+    # the contour reads the eigenvalues of chi(A): no sphere is clustered
+    assert calls["spectrum"] == 0
+    assert calls["contour"] == 1
     assert calls["nodes"] > 0
     # one stem read per node, in one pair call per batch of solves
     assert calls["pair calls"] == calls["nodes calls"]
@@ -858,6 +888,25 @@ def test_calculus_rejects_non_real_intrinsic_stems(method):
 
 
 # ---------------------------------------------------------------- exp / log / root
+
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, 1.0])
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_calculus_of_a_defective_block(k, lam):
+    # the contour encloses the eigenvalues of chi(A) unclustered, so a
+    # Jordan block whose computed eigenvalues no longer pair into
+    # spheres still gets f(A) on both routes
+    A = _planted_jordan(rng(409 + k), k, lam)
+    want = op_exp(A)
+    for method in ("complex_path", "s_contour"):
+        got = calculus_sided(A, catalog("exp"), method=method)
+        assert got.distance(want) <= 1e-12 * want.norm, method
+    assert op_exp(op_log(A)).distance(A) <= 1e-10 * A.norm
+
+
+def test_exp_refuses_a_norm_that_overflows():
+    with pytest.raises(NoConvergence, match="norm inf"):
+        op_exp(QMatrix.diag([1e200]))
+
 
 def test_exp_zero():
     assert_matrix_close(op_exp(QMatrix.zeros(3)), QMatrix.identity(3), 1e-15)

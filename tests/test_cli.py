@@ -5,12 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import quatspec.calculus as qcalc
 import quatspec.operators as qops
 import quatspec.spectrum as qspec
-from quatspec import I, QMatrix, Quaternion, s_spectrum
+from quatspec import I, QMatrix, Quaternion, op_exp, s_spectrum
 from quatspec.cli import (
     build_parser,
     main,
@@ -280,7 +281,7 @@ def test_reported_tolerances_are_the_library_constants(tmp_path, capsys):
 def test_spectrum_default_clusters_like_the_calculus(tmp_path, capsys, lam):
     # the perturbed eigenvalue pair of a defective block spreads beyond an
     # absolute 1e-8, which split it into odd clusters; the default radius
-    # 1e-8 (1 + ||A||) of every calculus command holds it together
+    # 1e-8 (1 + ||A||) holds it together
     gen = rng(337)
     for draw in range(20):
         A = _planted_jordan(gen, 2, lam)
@@ -292,6 +293,23 @@ def test_spectrum_default_clusters_like_the_calculus(tmp_path, capsys, lam):
             {"re": s.re, "im_norm": s.im_norm, "multiplicity": m}
             for s, m in want.spheres]
         assert env["tolerances"] == {"cluster": want.tol}
+
+
+def test_calculus_and_distance_answer_on_a_defective_block(tmp_path, capsys):
+    # a 3 x 3 Jordan block spreads its eigenvalues beyond any clustering
+    # radius; the calculus and the distance read them unclustered
+    A = _planted_jordan(rng(421), 3, 1.0 + 0.5j)
+    path = write_matrix(tmp_path, "jordan3.json", A)
+    for method in ("complex_path", "s_contour"):
+        code, env, err = run_cli(capsys, "calculus", "--fn", "exp",
+                                 "--method", method, "--input", path)
+        assert code == 0, err
+        out = parse_matrix_text(json.dumps(env["payload"]["matrix"]))
+        assert_matrix_close(out, op_exp(A), 1e-12 * op_exp(A).norm)
+    code, env, err = run_cli(capsys, "distance", "--alpha", "-1", "--input", path)
+    assert code == 0, err
+    assert env["payload"]["geometric"] == \
+        float(np.abs(A.chi_eigenvalues + 1.0).min())
 
 
 def test_distance_command(tmp_path, capsys):
@@ -380,9 +398,9 @@ def test_exit_three_on_a_non_finite_series_term(tmp_path, capsys):
     assert err.startswith("error[NoConvergence]")
 
 
-@pytest.mark.parametrize("entry", ["800", "1e200"])
+@pytest.mark.parametrize("entry", ["800"])
 def test_exit_three_when_exp_overflows(tmp_path, capsys, entry):
-    # exp(800) overflows in the squarings; ||A|| overflows at 1e200
+    # exp(800) overflows in the squarings
     path = tmp_path / "big.json"
     path.write_text(f'{{"n": 1, "entries": [[[{entry}, 0, 0, 0]]]}}')
     code, env, err = run_cli(capsys, "exp", "--input", str(path))
@@ -390,6 +408,33 @@ def test_exit_three_when_exp_overflows(tmp_path, capsys, entry):
     assert env is None
     assert err.count("\n") == 1
     assert err.startswith("error[NoConvergence]")
+
+
+EVERY_COMMAND = {
+    "spectrum": ["spectrum"],
+    "radius-eig": ["radius", "--method", "eig"],
+    "radius-power": ["radius", "--method", "power"],
+    "resolvent": ["resolvent", "--at", "6,0,1,0"],
+    "pencil-inverse": ["pencil-inverse", "--at", "6,0,1,0"],
+    "calculus": ["calculus", "--fn", "exp"],
+    "exp": ["exp"],
+    "log": ["log"],
+    "root": ["root", "--n", "2"],
+    "distance": ["distance", "--alpha", "0.5"],
+    "verify": ["verify", "--suite", "all"],
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
+def test_exit_one_when_the_norm_overflows(tmp_path, capsys, argv):
+    # ||A||_F overflows at 1e200, so no command gets a matrix whose norm,
+    # read by every tolerance, is infinite
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "entries": [[[1e200, 0, 0, 0]]]}')
+    code, env, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 1
+    assert env is None
+    assert err == "error[NonFiniteEntry]: the Frobenius norm of the matrix overflows\n"
 
 
 def test_exit_one_on_missing_file(capsys):

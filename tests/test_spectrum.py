@@ -289,6 +289,12 @@ def test_radius_power_zero_matrix():
     assert s_spectral_radius(QMatrix.zeros(2), "power") == 0.0
 
 
+def test_radius_power_refuses_a_norm_that_overflows():
+    # an infinite ||A||_F would scale A to zero and read as a radius of 0.0
+    with pytest.raises(NoConvergence, match="norm inf"):
+        s_spectral_radius(QMatrix.diag([1e200]), "power")
+
+
 def test_radius_power_tracks_eig():
     gen = rng(31)
     for _ in range(10):
@@ -704,6 +710,28 @@ def test_distance_alpha_on_spectrum():
 def test_distance_rejects_non_finite_alpha(alpha):
     with pytest.raises(NonFiniteEntry):
         distance_to_spectrum(QMatrix.from_entries([[Quaternion(2.0)]]), alpha)
+
+
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, 1.0])
+def test_distance_reads_the_eigenvalues_of_a_defective_block(lam):
+    # the geometric value is min |lambda - alpha| over the eigenvalues of
+    # chi(A), so a 3 x 3 Jordan block, whose eigenvalues spread beyond
+    # the clustering radius, needs no sphere; their spread of about 1e-5
+    # can still split the two routes beyond CROSS_CHECK_TOL, which is
+    # refused as NoConvergence, never as a parity failure
+    gen = rng(401)
+    answered = 0
+    for _ in range(10):
+        A = _planted_jordan(gen, 3, lam)
+        try:
+            geo, via = distance_to_spectrum(A, -1.0)
+        except NoConvergence as exc:
+            assert "cross-check" in str(exc)
+            continue
+        assert geo == float(np.abs(A.chi_eigenvalues + 1.0).min())
+        assert abs(geo - via) <= qspec.CROSS_CHECK_TOL * (1.0 + geo)
+        answered += 1
+    assert answered >= 5
 
 
 def test_distance_routes_agree():

@@ -44,6 +44,8 @@ from .operators import (
     QMatrix,
     _checked_pull_back,
     _embed,
+    _pencil_parts,
+    _product,
     complex_adjoint,
     from_complex_adjoint,
 )
@@ -54,6 +56,7 @@ from .slicefn import (
     RIGHT,
     AxSymDomain,
     StemFunction,
+    _cut_distance,
     _slice_values,
     catalog,
     restrict_to_slice,
@@ -62,6 +65,7 @@ from .slicefn import (
 )
 from .spectrum import (
     SphereSet,
+    _checked_tol,
     _power_series,
     distance_to_spectrum,
     s_resolvent,
@@ -168,24 +172,6 @@ def _merge_upper(circles: list[Circle]) -> list[Circle]:
         cs = [c for t, c in enumerate(cs) if t not in pair] + [merged]
 
 
-def _disk_in_domain(center: complex, radius: float, domain: AxSymDomain) -> bool:
-    fracs = radius * np.array([1.0, 0.85, 0.6, 0.35, 0.12])
-    rot = np.exp(2j * np.pi * np.arange(32) / 32)
-    z = np.append(center, center + fracs[:, None] * rot)
-    # the chord on the real axis is the worst case for cut exclusions
-    b = center.imag
-    if abs(b) < radius:
-        half = math.sqrt(radius * radius - b * b)
-        z = np.append(z, center.real - half + 2.0 * half * np.arange(17) / 16)
-    if not domain.contains(z.real, z.imag).all():
-        return False
-    for (ea, eb), rad in domain.exclusions:
-        for ebs in (eb, -eb):
-            if abs(center - complex(ea, ebs)) < radius + rad:
-                return False
-    return True
-
-
 def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
     """Circles of the given margin around every spectral point.
 
@@ -204,7 +190,7 @@ def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
     circles = sorted(_merge_upper([Circle(complex(s), margin) for s in seeds]),
                      key=lambda c: (c.center.real, c.center.imag))
     for c in circles:
-        if not _disk_in_domain(c.center, c.radius, domain):
+        if not domain.holds_disk(c.center, c.radius):
             raise DomainTooTight(
                 f"margin {margin:.3g} pushes a contour disk out of the domain")
     return SliceContour(tuple(circles))
@@ -252,7 +238,8 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     can solve a pencil once per sphere.
     at_nodes maps a chunk to one array per node, h to one value per node
     or, with a leading axis of p, p values per node.  The convergence
-    test is on the Frobenius norm of the whole sum.
+    test is on the Frobenius norm of the whole sum; a level whose sum is
+    not finite raises NoConvergence.
     """
     centers = np.array([c.center for c in contour.circles], dtype=complex)[:, None]
     radii = np.array([c.radius for c in contour.circles])[:, None]
@@ -274,6 +261,8 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
             fv = np.asarray(h(zc)) * dz[lo:lo + chunk]
             raw = raw + np.tensordot(fv, at_nodes(zc), 1)
         total = raw / count
+        if not np.isfinite(total).all():
+            raise NoConvergence(f"quadrature sum is not finite at {count} nodes per circle")
         if prev is not None:
             delta = float(np.linalg.norm(total - prev))
             if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
@@ -325,20 +314,15 @@ def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMa
     residual checked, and multiplied by A once.  Each node then costs
     O(n^2), as S_L(s, A) = conj(s) Q_s(A)^-1 - Q_s(A)^-1 A.
     """
-    sq = A.squared
-    eye = np.eye(A.n)
-
     def resolvents(s: np.ndarray) -> np.ndarray:
         # keys Re s + i |s|^2: bitwise equal for a node and its conjugate
         keys, sphere = np.unique(s.real + 1j * np.abs(s) ** 2,
                                  return_inverse=True)
-        two_re = 2.0 * keys.real[:, None, None]
-        px = sq.x - two_re * A.x + keys.imag[:, None, None] * eye
-        py = sq.y - two_re * A.y
-        qx, qy = _checked_pull_back(_checked_solve(_embed(px, py), "the pencil"))
+        pencils = _pencil_parts(A, 2.0 * keys.real[:, None, None],
+                                keys.imag[:, None, None])
+        qx, qy = _checked_pull_back(_checked_solve(_embed(*pencils), "the pencil"))
         q_inv = np.stack([qx, qy], axis=1)
-        q_inv_a = np.stack([qx @ A.x - np.conj(qy) @ A.y,
-                            qy @ A.x + np.conj(qx) @ A.y], axis=1)
+        q_inv_a = np.stack(_product(qx, qy, A.x, A.y), axis=1)
         return np.conj(s)[:, None, None, None] * q_inv[sphere] - q_inv_a[sphere]
 
     return [QMatrix(rx, ry)
@@ -404,22 +388,16 @@ def op_exp(A: QMatrix) -> QMatrix:
     return total
 
 
-def _cut_distance(z: complex) -> float:
-    # distance to the ray (-inf, 0]
-    return abs(z.imag) if z.real <= 0.0 else abs(z)
-
-
 def op_log(A: QMatrix) -> QMatrix:
     """Principal matrix logarithm through the intrinsic calculus.
 
     Raises BranchCut when any eigenvalue of chi(A), A.chi_eigenvalues,
     touches (-inf, 0] within the buffered cut; the calculus reuses them.
     """
-    buffer = CUT_BUFFER * (1.0 + A.norm)
-    for lv in A.chi_eigenvalues:
-        if _cut_distance(complex(lv)) <= buffer:
-            raise BranchCut(
-                f"eigenvalue {complex(lv):.6g} sits on the branch cut")
+    lam = A.chi_eigenvalues
+    on_cut = lam[_cut_distance(lam.real, lam.imag) <= CUT_BUFFER * (1.0 + A.norm)]
+    if on_cut.size:
+        raise BranchCut(f"eigenvalue {complex(on_cut[0]):.6g} sits on the branch cut")
     return calculus_intrinsic(A, catalog("log"))
 
 
@@ -505,7 +483,7 @@ def _suite_mapping(A, rng):
     for name in ("exp", "poly:[0, 1, 0, 0.25]", "sqrt"):
         f = catalog(name)
         if name == "sqrt":
-            ok = all(_cut_distance(s.representative) > 1e-3
+            ok = all(_cut_distance(s.re, s.im_norm) > 1e-3
                      for s, _ in spheres.spheres)
             if not ok:
                 continue
@@ -591,8 +569,10 @@ def verify_theorems(A: QMatrix, suite: str, tol: float = SUITE_TOL) -> TheoremRe
 
     Random ingredients are drawn from a fixed seed, so reports are
     reproducible.  Every discrepancy is relative to the scale of the
-    quantity it checks; the report passes when all stay within tol.
+    quantity it checks; the report passes when all stay within tol, which
+    must be finite and non-negative (else UsageError).
     """
+    tol = _checked_tol(tol)
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITE_NAMES}")
     rng = np.random.default_rng(_SUITE_SEED)

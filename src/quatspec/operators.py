@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, StructureViolation
+from .errors import DimensionMismatch, NoConvergence, StructureViolation
 from .quaternion import Quaternion, as_quaternion
 
 __all__ = [
@@ -88,10 +88,8 @@ class QMatrix:
 
     @classmethod
     def diag(cls, values) -> "QMatrix":
-        qs = [as_quaternion(v) for v in values]
-        x = np.diag([complex(q.a, q.b) for q in qs])
-        y = np.diag([complex(q.c, -q.d) for q in qs])
-        return cls(x, y)
+        xs, ys = _vector_split(values)
+        return cls(np.diag(xs), np.diag(ys))
 
     @classmethod
     def scalar(cls, n: int, q) -> "QMatrix":
@@ -105,9 +103,7 @@ class QMatrix:
         return self.x.shape[0]
 
     def entry(self, r: int, c: int) -> Quaternion:
-        xv = self.x[r, c]
-        yv = self.y[r, c]
-        return Quaternion(xv.real, xv.imag, yv.real, -yv.imag)
+        return _join(self.x[r, c], self.y[r, c])
 
     def entries(self) -> list[list[Quaternion]]:
         return [[self.entry(r, c) for c in range(self.n)] for r in range(self.n)]
@@ -168,25 +164,15 @@ class QMatrix:
         if not isinstance(other, QMatrix):
             return NotImplemented
         self._check_same_n(other)
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return QMatrix(x1 @ x2 - np.conj(y1) @ y2,
-                       y1 @ x2 + np.conj(x1) @ y2)
+        return QMatrix(*_product(self.x, self.y, other.x, other.y))
 
     def scalar_left(self, q) -> "QMatrix":
         """Entrywise product q * entry."""
-        q = as_quaternion(q)
-        p1 = complex(q.a, q.b)
-        p2 = complex(q.c, -q.d)
-        return QMatrix(p1 * self.x - np.conj(p2) * self.y,
-                       p2 * self.x + np.conj(p1) * self.y)
+        return QMatrix(*_product(*_split(q), self.x, self.y, np.multiply))
 
     def scalar_right(self, q) -> "QMatrix":
         """Entrywise product entry * q."""
-        q = as_quaternion(q)
-        p1 = complex(q.a, q.b)
-        p2 = complex(q.c, -q.d)
-        return QMatrix(self.x * p1 - np.conj(self.y) * p2,
-                       self.y * p1 + np.conj(self.x) * p2)
+        return QMatrix(*_product(self.x, self.y, *_split(q), np.multiply))
 
     def power(self, k: int) -> "QMatrix":
         if k < 0:
@@ -203,9 +189,7 @@ class QMatrix:
     def apply(self, xs) -> list[Quaternion]:
         """Image of a column vector of quaternions."""
         v1, v2 = _vector_split(xs, self.n)
-        r1 = self.x @ v1 - np.conj(self.y) @ v2
-        r2 = self.y @ v1 + np.conj(self.x) @ v2
-        return _vector_join(r1, r2)
+        return _vector_join(*_product(self.x, self.y, v1, v2))
 
     def distance(self, other: "QMatrix") -> float:
         return (self - other).norm
@@ -223,25 +207,41 @@ class QMatrix:
         return f"QMatrix(n={self.n})"
 
 
-def _vector_split(xs, n):
-    qs = [as_quaternion(v) for v in xs]
-    if len(qs) != n:
-        raise DimensionMismatch(f"vector length {len(qs)} vs matrix size {n}")
-    v1 = np.array([complex(q.a, q.b) for q in qs])
-    v2 = np.array([complex(q.c, -q.d) for q in qs])
-    return v1, v2
+# -- the split layout: (x, y) stands for x + j y --------------------------
+
+def _split(q) -> tuple[complex, complex]:
+    """(a + b i, c - d i) of one quaternion-like value."""
+    q = as_quaternion(q)
+    return complex(q.a, q.b), complex(q.c, -q.d)
+
+
+def _join(x, y) -> Quaternion:
+    """The quaternion x + j y of one pair of complex numbers."""
+    return Quaternion(x.real, x.imag, y.real, -y.imag)
+
+
+def _product(x1, y1, x2, y2, mul=np.matmul):
+    """Split parts of (x1 + j y1)(x2 + j y2); np.multiply gives entrywise products."""
+    return (mul(x1, x2) - mul(np.conj(y1), y2),
+            mul(y1, x2) + mul(np.conj(x1), y2))
+
+
+def _vector_split(xs, n=None):
+    """Split parts of an iterable of quaternion-like values, of length n if given."""
+    parts = [_split(v) for v in xs]
+    if n is not None and len(parts) != n:
+        raise DimensionMismatch(f"vector length {len(parts)} vs matrix size {n}")
+    return (np.array([x for x, _ in parts], dtype=complex),
+            np.array([y for _, y in parts], dtype=complex))
 
 
 def _vector_join(v1, v2):
-    return [Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
-            for z1, z2 in zip(v1, v2)]
+    return [_join(z1, z2) for z1, z2 in zip(v1, v2)]
 
 
 def vector_to_slice_coords(xs) -> np.ndarray:
     """Stack the split components into the length-2n complex coordinate vector."""
-    n = len(xs)
-    v1, v2 = _vector_split(xs, n)
-    return np.concatenate([v1, v2])
+    return np.concatenate(_vector_split(xs))
 
 
 def vector_from_slice_coords(v) -> list[Quaternion]:
@@ -429,16 +429,27 @@ def real_representation(expr) -> np.ndarray:
 
 # -- pencils ---------------------------------------------------------------
 
+def _pencil_parts(A: QMatrix, two_re, norm_sq):
+    """Split parts of A^2 - two_re A + norm_sq I, broadcast over stacks of the scalars."""
+    sq = A.squared
+    return sq.x - two_re * A.x + norm_sq * np.eye(A.n), sq.y - two_re * A.y
+
+
 def q_pencil(A: QMatrix, q) -> QMatrix:
     """Second order pencil A^2 - 2 Re(q) A + |q|^2 I.
 
     Depends on q only through Re(q) and |q|, hence is constant on the
-    conjugation sphere of q.
+    conjugation sphere of q.  A |q|^2 or an entry that is not finite
+    raises NoConvergence.
     """
     q = as_quaternion(q)
-    n = A.n
-    out = A.squared - (2.0 * q.real) * A + q.norm_sq() * QMatrix.identity(n)
-    return out
+    norm_sq = q.norm_sq()
+    if math.isfinite(norm_sq):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = _pencil_parts(A, 2.0 * q.real, norm_sq)
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            return QMatrix(x, y)
+    raise NoConvergence(f"the pencil at |q|^2 = {norm_sq:.6g} overflows")
 
 
 def delta(A: QMatrix, z: complex) -> np.ndarray:

@@ -18,6 +18,7 @@ coincide and the function commutes with conjugation of the argument.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,30 +64,47 @@ class AxSymDomain:
     bool array; membership is invariant under beta -> |beta| by
     construction.  box = (alpha_min, alpha_max, beta_max) bounds the
     sampling region used by validation.  exclusions lists forbidden
-    half-plane disks ((alpha, beta), radius) that contour construction
-    must avoid exactly.
+    half-plane disks ((alpha, beta), radius) that holds_disk avoids
+    exactly.
     """
 
     contains_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: tuple[float, float, float]
-    description: str = ""
     exclusions: tuple[tuple[tuple[float, float], float], ...] = ()
 
     def contains(self, alpha, beta) -> np.ndarray:
         return self.contains_fn(*np.broadcast_arrays(alpha, np.abs(beta)))
 
+    def holds_disk(self, center: complex, radius: float) -> bool:
+        """Whether the disk lies in the domain, sampled at its center, on
+        five rings and on its real-axis chord, the worst case for cuts;
+        exclusion disks and their mirrors are kept out exactly.
+        """
+        fracs = radius * np.array([1.0, 0.85, 0.6, 0.35, 0.12])
+        rot = np.exp(2j * np.pi * np.arange(32) / 32)
+        z = np.append(center, center + fracs[:, None] * rot)
+        b = center.imag
+        if abs(b) < radius:
+            half = math.sqrt(radius * radius - b * b)
+            z = np.append(z, center.real - half + 2.0 * half * np.arange(17) / 16)
+        if not self.contains(z.real, z.imag).all():
+            return False
+        return not any(abs(center - complex(ea, ebs)) < radius + rad
+                       for (ea, eb), rad in self.exclusions for ebs in (eb, -eb))
 
-def entire_domain(box=(-3.0, 3.0, 3.0), description="all of H") -> AxSymDomain:
-    return AxSymDomain(lambda a, b: np.full(a.shape, True), box, description)
+
+def entire_domain(box=(-3.0, 3.0, 3.0)) -> AxSymDomain:
+    return AxSymDomain(lambda a, b: np.full(a.shape, True), box)
+
+
+def _cut_distance(alpha, beta):
+    """Distance from alpha + beta i to the ray (-inf, 0], elementwise."""
+    return np.where(alpha <= 0.0, np.abs(beta), np.hypot(alpha, beta))
 
 
 def cut_plane_domain(box=(-6.0, 6.0, 6.0)) -> AxSymDomain:
     """Everything except a buffered neighborhood of the ray (-inf, 0]."""
-
-    def ok(a, b):
-        return (np.hypot(a, b) > CUT_BUFFER) & ((a > 0.0) | (b > CUT_BUFFER))
-
-    return AxSymDomain(ok, box, "slit plane, principal branch",
+    return AxSymDomain(lambda a, b: _cut_distance(a, b) > CUT_BUFFER, box,
                        exclusions=(((0.0, 0.0), CUT_BUFFER),))
 
 
@@ -283,8 +301,7 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
         ok[ok] = g.domain.contains(*inner(a[ok], b[ok]))
         return ok
 
-    dom = AxSymDomain(dom_ok, f.domain.box,
-                      f"composition domain", f.domain.exclusions)
+    dom = AxSymDomain(dom_ok, f.domain.box, f.domain.exclusions)
     return StemFunction(pair, dom, g.kind, _join_labels(g.label, "o", f.label))
 
 
@@ -302,8 +319,7 @@ def _intersect_domains(d1: AxSymDomain, d2: AxSymDomain) -> AxSymDomain:
     box = (max(d1.box[0], d2.box[0]), min(d1.box[1], d2.box[1]),
            min(d1.box[2], d2.box[2]))
     return AxSymDomain(lambda a, b: d1.contains(a, b) & d2.contains(a, b),
-                       box, f"{d1.description} & {d2.description}",
-                       d1.exclusions + d2.exclusions)
+                       box, d1.exclusions + d2.exclusions)
 
 
 def _join_labels(l1, op, l2):
@@ -431,7 +447,7 @@ def _is_real_list(x, length: int | None = None) -> bool:
                     for c in x))
 
 
-def _punctured_domain(points, description) -> AxSymDomain:
+def _punctured_domain(points) -> AxSymDomain:
     """The box (-4, 4, 4) minus disks of radius CUT_BUFFER around points."""
     excl = tuple(((float(p.real), abs(float(p.imag))), CUT_BUFFER)
                  for p in points)
@@ -442,7 +458,7 @@ def _punctured_domain(points, description) -> AxSymDomain:
             inside &= np.hypot(a - ea, b - eb) > rad
         return inside
 
-    return AxSymDomain(ok, (-4.0, 4.0, 4.0), description, excl)
+    return AxSymDomain(ok, (-4.0, 4.0, 4.0), excl)
 
 
 def catalog(name: str) -> StemFunction:
@@ -470,7 +486,7 @@ def catalog(name: str) -> StemFunction:
         if n >= 0:
             dom = entire_domain((-4.0, 4.0, 4.0))
         else:
-            dom = _punctured_domain([0j], "punctured plane")
+            dom = _punctured_domain([0j])
         return from_holomorphic_intrinsic(lambda z: z ** n, dom, name)
     if name.startswith("poly:"):
         cs = _parse_json_fragment(name[5:], "coefficient list")
@@ -490,7 +506,7 @@ def catalog(name: str) -> StemFunction:
         if not any(c != 0 for c in qs):
             raise ParseError("ratpoly denominator is identically zero")
         hp, hq = _real_poly(ps), _real_poly(qs)
-        dom = _punctured_domain(np.roots(qs[::-1]), "pole-free region")
+        dom = _punctured_domain(np.roots(qs[::-1]))
         return from_holomorphic_intrinsic(lambda z: hp(z) / hq(z), dom, name)
     if name.startswith(("monoL:", "monoR:")):
         desc = _parse_json_fragment(name[6:], "monomial descriptor")

@@ -27,6 +27,7 @@ from .errors import (
     OddRealMultiplicity,
     SeriesDiverges,
     Singular,
+    UsageError,
 )
 from .operators import (
     QMatrix,
@@ -174,16 +175,23 @@ def _cluster(points: list[tuple[float, float]], tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
+def _checked_tol(tol: float) -> float:
+    """tol itself when finite and non-negative; otherwise UsageError."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tolerance must be finite and non-negative, got {tol}")
+    return tol
+
+
 def s_spectrum(A: QMatrix, tol: float | None = None) -> SphereSet:
     """Conjugation spheres of the eigenvalues of chi(A), A.chi_eigenvalues.
 
     Every tolerance (default CLUSTER_REL_TOL * (1 + ||A||)) clusters that
-    one solve in the (re, |im|) half plane.  A cluster on the real axis
+    one solve in the (re, |im|) half plane; a given tol must be finite and
+    non-negative (else UsageError).  A cluster on the real axis
     must hold an even number of eigenvalues, half of which count toward
     its multiplicity; otherwise OddRealMultiplicity is raised.
     """
-    if tol is None:
-        tol = CLUSTER_REL_TOL * (1.0 + A.norm)
+    tol = CLUSTER_REL_TOL * (1.0 + A.norm) if tol is None else _checked_tol(tol)
     lam = A.chi_eigenvalues
     pts = [(float(lv.real), float(abs(lv.imag))) for lv in lam]
     spheres: list[tuple[Sphere, int]] = []

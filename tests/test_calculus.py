@@ -217,7 +217,7 @@ def _full_build_contour(points, domain, margin):
         if c.center.imag > 0.0:
             circles.append(Circle(c.center.conjugate(), c.radius))
     for c in circles:
-        if not qcalc._disk_in_domain(c.center, c.radius, domain):
+        if not domain.holds_disk(c.center, c.radius):
             raise DomainTooTight("reference")
     circles.sort(key=lambda c: (c.center.real, c.center.imag))
     return circles
@@ -1087,7 +1087,7 @@ def test_disk_in_domain_matches_point_by_point_reference(name):
         center = complex(*gen.uniform(-3.0, 3.0, 2))
         radius = float(gen.uniform(0.01, 2.5))
         want = _disk_in_domain_by_point(center, radius, domain)
-        assert qcalc._disk_in_domain(center, radius, domain) == want
+        assert domain.holds_disk(center, radius) == want
         verdicts[want] += 1
     assert verdicts[True] > 0
     assert name == "exp" or verdicts[False] > 0

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -473,6 +474,85 @@ def test_exit_one_on_bad_argument_values(tmp_path, capsys, argv, error):
     assert code == 1
     assert env is None
     assert err.startswith(f"error[{error}]")
+
+
+# spheres (0, 1) and (2, 0)
+TWO_SPHERES = ('{"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0, 0]], '
+               '[[0, 0, 0, 0], [2, 0, 0, 0]]]}')
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("argv", [("spectrum",), ("verify", "--suite", "distance")],
+                         ids=["spectrum", "verify"])
+def test_exit_one_on_a_tol_not_finite_and_non_negative(tmp_path, capsys, argv, tol):
+    # an infinite tol would merge the two spheres and print the non-JSON
+    # Infinity; NaN or a negative tol would cluster nothing
+    path = tmp_path / "two.json"
+    path.write_text(TWO_SPHERES)
+    code, env, err = run_cli(capsys, *argv, f"--tol={tol}", "--input", str(path))
+    assert code == 1
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[UsageError]")
+
+
+def test_spectrum_tol_zero_is_legal(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_SPHERES)
+    code, env, _ = run_cli(capsys, "spectrum", "--tol=0", "--input", str(path))
+    assert code == 0
+    assert env["tolerances"] == {"cluster": 0.0}
+    assert [(s["re"], s["im_norm"], s["multiplicity"])
+            for s in env["payload"]["spheres"]] == [(0.0, 1.0, 1), (2.0, 0.0, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("pencil-inverse", "--at=1e200,0,0,0"),
+    ("resolvent", "--at=1e200,0,0,0"),
+    ("distance", "--alpha=1e300"),
+], ids=["pencil-inverse", "resolvent", "distance"])
+def test_exit_three_when_the_pencil_overflows(tmp_path, capsys, argv):
+    # |q|^2 overflows, and inf * 0 would fill the pencil with NaN
+    path = tmp_path / "two.json"
+    path.write_text(TWO_SPHERES)
+    code, env, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 3
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[NoConvergence]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pencil-inverse", "--at=1e200,0,0,0", "--method", "neumann"),
+    ("resolvent", "--at=1e200,0,0,0", "--method", "series"),
+], ids=["neumann", "series"])
+def test_series_answer_where_the_pencil_overflows(tmp_path, capsys, argv):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_SPHERES)
+    code, env, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 0
+    assert err == ""
+    assert np.isfinite(env["payload"]["matrix"]["entries"]).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("n", [1, 16])
+def test_exit_three_at_once_when_the_quadrature_sum_overflows(tmp_path, capsys,
+                                                              n, method):
+    # exp overflows on the nodes about the eigenvalue 800, so the first
+    # level's sum is not finite and no later level can converge
+    A = QMatrix.diag([800.0] + [0.1 * k for k in range(1, n)])
+    path = write_matrix(tmp_path, "big.json", A)
+    started = time.perf_counter()
+    code, env, err = run_cli(capsys, "calculus", "--fn", "exp", "--method", method,
+                             "--input", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[NoConvergence]")
 
 
 def test_help_exits_zero(capsys):

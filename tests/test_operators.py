@@ -19,7 +19,7 @@ from quatspec import (
     real_representation,
     right_mult_rep,
 )
-from quatspec.errors import DimensionMismatch, StructureViolation
+from quatspec.errors import DimensionMismatch, NoConvergence, StructureViolation
 from quatspec.operators import (
     _embed,
     _pull_back,
@@ -274,6 +274,12 @@ def test_q_pencil_examples():
     shifted = A - QMatrix.identity(2) * r
     assert_matrix_close(q_pencil(A, Quaternion(r)), shifted @ shifted,
                         1e-12 * (1 + A.norm ** 2))
+
+
+def test_q_pencil_raises_no_convergence_when_an_entry_overflows():
+    # A^2 overflows, silently: the suite turns a RuntimeWarning into an error
+    with pytest.raises(NoConvergence):
+        q_pencil(QMatrix.diag([Quaternion(1e160), J]), 1.0)
 
 
 def test_q_pencil_sphere_constant():

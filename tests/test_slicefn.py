@@ -27,7 +27,14 @@ from quatspec import (
     validate,
 )
 from quatspec.errors import NotIntrinsic, OutOfDomain, ParseError
-from quatspec.slicefn import INTRINSIC, LEFT, RIGHT, AxSymDomain, _slice_values
+from quatspec.slicefn import (
+    CUT_BUFFER,
+    INTRINSIC,
+    LEFT,
+    RIGHT,
+    AxSymDomain,
+    _slice_values,
+)
 
 from _helpers import assert_quat_close, random_quaternion, rng, stem_values
 
@@ -323,6 +330,24 @@ def test_log_domain_excludes_cut():
     assert f.domain.contains(-2.0, 1.0)
     assert f.domain.contains(1.0, 0.0)
     assert not f.domain.contains(0.0, 0.0)
+
+    # the buffer edge and the origin, against the two clauses the cut
+    # distance replaced
+    def two_clauses(a, b):
+        return (np.hypot(a, b) > CUT_BUFFER) & ((a > 0.0) | (b > CUT_BUFFER))
+
+    t = CUT_BUFFER * np.array([-2.0, -1.001, -1.0, -0.999, -0.6, -0.5, -1e-3,
+                               -0.0, 0.0, 1e-3, 0.5, 0.6, 0.999, 1.0, 1.001, 2.0])
+    a, b = np.meshgrid(np.append(t, [-1.0, 1.0]),
+                       np.append(np.abs(t), [0.5 * CUT_BUFFER, 1.0]), indexing="ij")
+    want = two_clauses(a, b)
+    assert want.any() and not want.all()
+    for name in ("log", "sqrt"):
+        domain = catalog(name).domain
+        assert (domain.contains(a, b) == want).all()
+        assert (domain.contains(a, -b) == want).all()
+        for al, be, w in zip(a.flat, b.flat, want.flat):
+            assert domain.contains(al, be) == w
 
 
 def test_domain_membership_is_even_in_beta():

@@ -574,6 +574,13 @@ def test_classify_examples():
     assert res.verdict == "point_spectrum"
 
 
+def test_classify_raises_no_convergence_where_the_pencil_overflows():
+    # |q|^2 = 1e400 overflows, and inf * 0 would fill the pencil with NaN
+    A = QMatrix.diag([I, Quaternion(2.0)])
+    with pytest.raises(NoConvergence):
+        classify(A, 1e200)
+
+
 def test_classify_verdict_matches_threshold():
     gen = rng(61)
     for _ in range(N_DRAWS):

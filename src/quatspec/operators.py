@@ -21,6 +21,7 @@ component (all a's, then b's, c's, d's), which for n = 1 is the plain
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -168,11 +169,11 @@ class QMatrix:
 
     def scalar_left(self, q) -> "QMatrix":
         """Entrywise product q * entry."""
-        return QMatrix(*_product(*_split(q), self.x, self.y, np.multiply))
+        return QMatrix(*_product(*_split(q), self.x, self.y, operator.mul))
 
     def scalar_right(self, q) -> "QMatrix":
         """Entrywise product entry * q."""
-        return QMatrix(*_product(self.x, self.y, *_split(q), np.multiply))
+        return QMatrix(*_product(self.x, self.y, *_split(q), operator.mul))
 
     def power(self, k: int) -> "QMatrix":
         if k < 0:
@@ -221,9 +222,29 @@ def _join(x, y) -> Quaternion:
 
 
 def _product(x1, y1, x2, y2, mul=np.matmul):
-    """Split parts of (x1 + j y1)(x2 + j y2); np.multiply gives entrywise products."""
-    return (mul(x1, x2) - mul(np.conj(y1), y2),
-            mul(y1, x2) + mul(np.conj(x1), y2))
+    """Split parts of (x1 + j y1)(x2 + j y2).
+
+    operator.mul gives entrywise products, and on plain complex numbers
+    the Hamilton product of two quaternions.
+    """
+    return (mul(x1, x2) - mul(y1.conjugate(), y2),
+            mul(y1, x2) + mul(x1.conjugate(), y2))
+
+
+def _row_times(row, x, y, side: str):
+    """First block row of chi(P (x + j y)), or of chi((x + j y) P) on the left.
+
+    row is the first block row [p, -conj(q)] of chi(P) for P = p + j q.
+    On the right the scalar acts blockwise as chi(x + j y); on the left
+    the second block row [q, conj(p)] of chi(P) is read off the first.
+    """
+    n = row.shape[0]
+    r1, r2 = row[:, :n], row[:, n:]
+    if side == "right":
+        return np.concatenate((r1 * x + r2 * y, r2 * x.conjugate() - r1 * y.conjugate()),
+                              axis=1)
+    return x * row + y.conjugate() * np.concatenate((r2.conjugate(), -r1.conjugate()),
+                                                    axis=1)
 
 
 def _vector_split(xs, n=None):

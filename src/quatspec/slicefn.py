@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotIntrinsic, OutOfDomain, ParseError
+from .errors import NoConvergence, NotIntrinsic, OutOfDomain, ParseError
 from .quaternion import Quaternion, _array_product
 
 __all__ = [
@@ -211,6 +211,11 @@ def _slice_values(f: StemFunction) -> Callable[[np.ndarray], np.ndarray]:
                               "is outside the domain")
         v0, v1 = f.stems(z.real, z.imag)
         v1 = np.where((z.imag == 0.0)[..., None], 0.0, v1)
+        finite = (np.isfinite(v0) & np.isfinite(v1)).all(axis=-1)
+        if not finite.all():
+            bad = z[~finite][0]
+            raise NoConvergence(f"stems at ({bad.real:.6g}, {abs(bad.imag):.6g}) "
+                                "are not finite")
         parts = np.moveaxis(np.broadcast_to(v0 + 1j * v1, z.shape + (4,)), -1, 0)
         if f.kind != INTRINSIC:
             return parts

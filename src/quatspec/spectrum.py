@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,10 @@ from .errors import (
 )
 from .operators import (
     QMatrix,
+    _join,
+    _product,
+    _row_times,
+    _split,
     complex_adjoint,
     from_complex_adjoint,
     left_mult_rep,
@@ -257,48 +262,64 @@ def _neumann_terms(q: Quaternion):
 
     The recursion is exact: splitting the k = n term off the defining
     sum leaves a_(n-1) times conj(q)^-1, so each coefficient costs two
-    quaternion products instead of n + 1.
+    Hamilton products instead of n + 1.  They are taken in the split
+    layout on plain complex numbers, and each a_n is yielded as its
+    split pair (x, y), the quaternion x + j y.
     """
-    qi = q.inverse()
-    qbi = q.conjugate().inverse()
-    power = qi
-    acc = Quaternion()
+    ix, iy = _split(q.inverse())
+    bx, by = _split(q.conjugate().inverse())
+    px, py = ix, iy
+    ax = ay = 0j
     while True:
-        acc = (acc + power) * qbi
-        yield acc
-        power = power * qi
+        ax, ay = _product(ax + px, ay + py, bx, by, operator.mul)
+        yield ax, ay
+        px, py = _product(px, py, ix, iy, operator.mul)
 
 
 def neumann_coefficients(q: Quaternion, count: int) -> list[Quaternion]:
     """Coefficients a_n = sum_k q^(-k-1) conj(q)^(-n+k-1), n < count.
 
-    Computed in honest quaternion arithmetic; each a_n is real up to
-    roundoff, which callers may verify through its imaginary components.
+    Computed by the exact recursion of _neumann_terms; each a_n is real
+    up to roundoff, which callers may verify through its imaginary
+    components.
     """
-    return list(itertools.islice(_neumann_terms(q), count))
+    return [_join(x, y) for x, y in itertools.islice(_neumann_terms(q), count)]
 
 
-def _power_series(A: QMatrix, coefficients, times=QMatrix.__mul__,
+def _frobenius(M: np.ndarray) -> float:
+    return math.sqrt(np.vdot(M, M).real)
+
+
+def _power_series(A: QMatrix, coefficients, side: str | None = None,
                   tol: float = SERIES_TOL, scale: float = 1.0) -> QMatrix:
-    """Sum of times(scale A^n, c_n) over c_0, c_1, ..., for A at unit scale.
+    """Sum of scale A^n c_n over c_0, c_1, ..., for A at unit scale.
 
-    The one series loop: it stops once two consecutive terms are within
+    The one series loop.  It carries scale A^n as the first block row
+    [x_n, -conj(y_n)] of chi(scale A^n), an n x 2n complex array that one
+    product with chi(A) advances, and keeps the sum in the same layout;
+    a row's Frobenius norm is that of its matrix.  Real c_n scale the
+    row.  With side "left" or "right" each c_n is a split pair (x, y),
+    the quaternion x + j y, multiplied on that side of the power.  The
+    loop stops once two consecutive terms are within
     tol * (scale + ||sum||) together, and raises NoConvergence at the
     first non-finite term or at SERIES_TERM_CAP terms.
     """
-    total = QMatrix.zeros(A.n)
+    n = A.n
+    step = complex_adjoint(A)
+    total = np.zeros((n, 2 * n), dtype=complex)
     last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        P = QMatrix.identity(A.n) * scale
+        row = np.eye(n, 2 * n, dtype=complex) * scale
         for k, c in enumerate(itertools.islice(coefficients, SERIES_TERM_CAP)):
-            term = times(P, c)
-            total = total + term
-            if not math.isfinite(term.norm):
+            term = c * row if side is None else _row_times(row, *c, side)
+            total += term
+            size = _frobenius(term)
+            if not math.isfinite(size):
                 raise NoConvergence(f"series term {k} is not finite")
-            if last + term.norm <= tol * (scale + total.norm):
-                return total
-            last = term.norm
-            P = P @ A
+            if last + size <= tol * (scale + _frobenius(total)):
+                return QMatrix(total[:, :n], -total[:, n:].conjugate())
+            last = size
+            row = row @ step
     raise NoConvergence("series hit the term cap")
 
 
@@ -308,10 +329,12 @@ def _past_cap(rate: float) -> bool:
 
 
 def _real_parts(coefficients):
-    for a in coefficients:
-        if max(abs(a.b), abs(a.c), abs(a.d)) > 1e-12 * (1.0 + abs(a)):
+    """Real parts of split pairs (x, y), each checked real to 1e-12 relative."""
+    for x, y in coefficients:
+        size = math.hypot(x.real, x.imag, y.real, y.imag)
+        if max(abs(x.imag), abs(y.real), abs(y.imag)) > 1e-12 * (1.0 + size):
             raise NoConvergence("series coefficient lost realness")
-        yield a.a
+        yield x.real
 
 
 def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
@@ -380,10 +403,11 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     if _past_cap(A.norm / rho) and _past_cap(s_spectral_radius(A, "eig") / rho):
         raise NoConvergence(f"|s| = {rho:.12g} is too near r_S: past the term cap")
     # L_A(s) = rho^-1 L_(A/rho)(s/rho), and R likewise
-    si = (s / rho).inverse()
-    times = QMatrix.scalar_right if side == "L" else QMatrix.scalar_left
-    return _power_series(A * (1.0 / rho), itertools.accumulate(
-        itertools.repeat(si), Quaternion.__mul__), times, scale=1.0 / rho)
+    si = _split((s / rho).inverse())
+    powers = itertools.accumulate(itertools.repeat(si),
+                                  lambda p, c: _product(*p, *c, operator.mul))
+    return _power_series(A * (1.0 / rho), powers,
+                         "right" if side == "L" else "left", scale=1.0 / rho)
 
 
 class Classification(NamedTuple):
@@ -408,10 +432,15 @@ def classify(A: QMatrix, q) -> Classification:
 
 
 def quaternion_matrix_inverse(A: QMatrix) -> QMatrix:
-    """Inverse of an invertible quaternion matrix via its complex adjoint."""
+    """Inverse of an invertible quaternion matrix via its complex adjoint.
+
+    The singularity floor 1e-14 (1 + ||M||_F) prescales the norm by the
+    largest |entry|, so it stays finite wherever the entries are.
+    """
     M = complex_adjoint(A)
-    return _checked_inverse(M, 1e-14 * (1.0 + float(np.linalg.norm(M))),
-                            "matrix")
+    big = float(np.abs(M).max())
+    norm = big * float(np.linalg.norm(M / big)) if big else 0.0
+    return _checked_inverse(M, 1e-14 * (1.0 + norm), "matrix")
 
 
 class DistanceResult(NamedTuple):

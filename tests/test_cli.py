@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -553,6 +554,46 @@ def test_exit_three_at_once_when_the_quadrature_sum_overflows(tmp_path, capsys,
     assert env is None
     assert err.count("\n") == 1
     assert err.startswith("error[NoConvergence]")
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+def test_exit_three_when_stem_values_are_not_finite(tmp_path, capsys, method):
+    # exp overflows at the nodes about 800: the stem read refuses them
+    # before any arithmetic, so only the stem's own warnings are raised
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "entries": [[[800, 0, 0, 0]]]}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, env, err = run_cli(capsys, "calculus", "--fn", "exp", "--method", method,
+                                 "--input", str(path))
+    assert code == 3
+    assert env is None
+    assert err.count("\n") == 1
+    assert err.startswith("error[NoConvergence]: stems at (")
+    assert "are not finite" in err
+    assert caught
+    assert all(w.filename.endswith("slicefn.py") for w in caught), \
+        [(w.filename, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("alpha", ["1e154", "-1e154", "1.3e154"])
+@pytest.mark.parametrize("entries", [
+    [[[0, 1, 0, 0]]],
+    [[[0, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [2, 0, 0, 0]]],
+], ids=["readme", "two-sphere"])
+def test_distance_answers_where_the_frobenius_norm_overflows(tmp_path, capsys,
+                                                             entries, alpha):
+    # ||alpha I - A||_F overflows from about 1e154, while the distance
+    # itself is about |alpha|
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": len(entries), "entries": entries}))
+    code, env, err = run_cli(capsys, "distance", f"--alpha={alpha}",
+                             "--input", str(path))
+    assert code == 0, err
+    assert err == ""
+    payload = env["payload"]
+    assert payload["geometric"] == pytest.approx(abs(float(alpha)), rel=1e-12)
+    assert payload["via_radius"] == pytest.approx(abs(float(alpha)), rel=1e-12)
 
 
 def test_help_exits_zero(capsys):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import quatspec.calculus as qcalc
 import quatspec.spectrum as qspec
 from quatspec import (
     AlphaInSpectrum,
@@ -491,6 +492,122 @@ def test_series_answer_where_unscaled_powers_overflowed():
         got = s_resolvent(QMatrix.diag([100.0]), 102.0, side, "series")
         assert time.perf_counter() - start < 5.0
         assert_quat_close(got.entry(0, 0), Quaternion(0.5), 1e-10)
+
+
+def _qmatrix_power_series(A, coefficients, times=QMatrix.__mul__,
+                          tol=qspec.SERIES_TOL, scale=1.0):
+    """The series loop on QMatrix objects: times(scale A^n, c_n), A^n by @."""
+    total = QMatrix.zeros(A.n)
+    last = math.inf
+    P = QMatrix.identity(A.n) * scale
+    for k, c in enumerate(itertools.islice(coefficients, qspec.SERIES_TERM_CAP)):
+        term = times(P, c)
+        total = total + term
+        assert math.isfinite(term.norm), f"series term {k} is not finite"
+        if last + term.norm <= tol * (scale + total.norm):
+            return total
+        last = term.norm
+        P = P @ A
+    raise AssertionError("series hit the term cap")
+
+
+def _quaternion_neumann_terms(q):
+    """a_n = (a_(n-1) + q^(-n-1)) conj(q)^-1 in Quaternion arithmetic."""
+    qi, qbi = q.inverse(), q.conjugate().inverse()
+    power, acc = qi, Quaternion()
+    while True:
+        acc = (acc + power) * qbi
+        yield acc
+        power = power * qi
+
+
+def _reference_neumann(A, q):
+    rho = abs(q)
+    coefficients = (a.a for a in _quaternion_neumann_terms(q / rho))
+    return _qmatrix_power_series(A * (1.0 / rho), coefficients, scale=1.0 / rho / rho)
+
+
+def _reference_resolvent_series(A, s, side):
+    rho = abs(s)
+    powers = itertools.accumulate(itertools.repeat((s / rho).inverse()),
+                                  Quaternion.__mul__)
+    times = QMatrix.scalar_right if side == "L" else QMatrix.scalar_left
+    return _qmatrix_power_series(A * (1.0 / rho), powers, times, scale=1.0 / rho)
+
+
+def _assert_relative(got, want, tol=1e-14):
+    d = got.distance(want)
+    assert d <= tol * want.norm, f"relative gap {d / want.norm:.3e}"
+
+
+SERIES_CASES = [(n, ratio) for n in (1, 4, 16) for ratio in (1.05, 2.0)]
+
+
+@pytest.mark.parametrize("n,ratio", SERIES_CASES)
+def test_block_row_neumann_matches_the_qmatrix_loop(n, ratio):
+    gen = rng(67 + n)
+    A = random_qmatrix(gen, n)
+    q = random_unit_quaternion(gen) * (ratio * s_spectral_radius(A, "eig"))
+    _assert_relative(q_pencil_inverse(A, q, "neumann"), _reference_neumann(A, q))
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("n,ratio", SERIES_CASES)
+def test_block_row_resolvent_matches_the_qmatrix_loop(n, ratio, side):
+    gen = rng(71 + n)
+    A = random_qmatrix(gen, n)
+    s = random_unit_quaternion(gen) * (ratio * A.norm)
+    _assert_relative(s_resolvent(A, s, side, "series"),
+                     _reference_resolvent_series(A, s, side))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("size", [0.3, 5.0])
+def test_block_row_exponential_matches_the_qmatrix_loop(monkeypatch, n, size):
+    A = random_qmatrix(rng(73 + n), n)
+    A = A * (size / A.norm)
+    got = qcalc.op_exp(A)
+    monkeypatch.setattr(qcalc, "_power_series", _qmatrix_power_series)
+    _assert_relative(got, qcalc.op_exp(A))
+
+
+def test_block_row_matches_the_qmatrix_loop_where_unscaled_powers_overflowed():
+    A = random_qmatrix(rng(1), 8)
+    q = Quaternion(1.05 * s_spectral_radius(A, "eig"))
+    _assert_relative(q_pencil_inverse(A, q, "neumann"), _reference_neumann(A, q))
+    B = QMatrix.diag([100.0])
+    for side in ("L", "R"):
+        _assert_relative(s_resolvent(B, 102.0, side, "series"),
+                         _reference_resolvent_series(B, Quaternion(102.0), side))
+
+
+def test_neumann_builds_as_many_qmatrices_near_the_radius_as_far_from_it(monkeypatch):
+    # the powers and the sum live in one block row of chi(A^n); only the
+    # rescaled input and the answer are QMatrix objects, whatever the
+    # number of terms
+    A = random_qmatrix(rng(79), 6)
+    rad = s_spectral_radius(A, "eig")
+    built, terms = [0], [0]
+    init, neumann_terms = QMatrix.__init__, qspec._neumann_terms
+
+    def counted_init(self, x, y):
+        built[0] += 1
+        init(self, x, y)
+
+    def counted_terms(q):
+        for a in neumann_terms(q):
+            terms[0] += 1
+            yield a
+
+    monkeypatch.setattr(QMatrix, "__init__", counted_init)
+    monkeypatch.setattr(qspec, "_neumann_terms", counted_terms)
+    counts = {}
+    for ratio in (1.05, 2.0):
+        built[0] = terms[0] = 0
+        q_pencil_inverse(A, Quaternion(0.6, 0.0, 0.8) * (ratio * rad), "neumann")
+        counts[ratio] = (built[0], terms[0])
+    assert counts[1.05][0] == counts[2.0][0]
+    assert counts[1.05][1] > 5 * counts[2.0][1]
 
 
 @pytest.mark.parametrize("unit", [2.0 * I, 2.0 * J,

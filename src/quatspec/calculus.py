@@ -91,8 +91,10 @@ __all__ = [
 
 NODE_CAP = 1 << 16
 QUAD_REL_TOL = 1e-10
+QUAD_RATE_SAFETY = 1e-4  # estimated quadrature error, as a fraction of QUAD_REL_TOL
 EXP_SERIES_TOL = 1e-16  # relative size of the last two exponential series terms
 SUITE_TOL = 1e-8  # largest discrepancy a verify suite passes with
+SEED_MERGE_TOL = 1e-10  # seeds this close, relative to the spectrum, share a circle
 _BATCH_ENTRIES = 1 << 16  # matrix entries per batched solve
 
 
@@ -175,19 +177,27 @@ def _merge_upper(circles: list[Circle]) -> list[Circle]:
 def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
     """Circles of the given margin around every spectral point.
 
-    points is any complex array, such as A.chi_eigenvalues.  Each distinct
-    (Re z, |Im z|), in sorted order, seeds a circle of radius margin, which
-    _merge_upper folds onto the real axis when it reaches the axis and
-    merges with any circle it overlaps, so every point and its conjugate
-    stay at least the margin away from the final contour.  The circles come
-    sorted by centre.  Disks leaving the domain raise DomainTooTight; the
-    domain is symmetric, so the mirror disks need no check.
+    points is any complex array, such as A.chi_eigenvalues.  The distinct
+    (Re z, |Im z|), in sorted order, seed the circles: a seed within
+    tol = min(SEED_MERGE_TOL (1 + max |z|), margin / 2) of the last kept
+    seed, such as an eigenvalue and the mirror of its conjugate partner,
+    which differ by roundoff, seeds none.  Each kept seed seeds a circle
+    of radius margin, which _merge_upper folds onto the real axis when it
+    reaches the axis and merges with any circle it overlaps, so every
+    point and its conjugate stay at least margin - tol >= margin / 2 away
+    from the final contour, and inside it.  The circles come sorted by
+    centre.  Disks leaving the domain raise DomainTooTight; the domain is
+    symmetric, so the mirror disks need no check.
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    seeds = np.sort(np.real(points) + 1j * np.abs(np.imag(points)))
-    seeds = seeds[np.append(True, seeds[1:] != seeds[:-1])]  # np.unique loads numpy.ma
-    circles = sorted(_merge_upper([Circle(complex(s), margin) for s in seeds]),
+    seeds = np.sort(np.real(points) + 1j * np.abs(np.imag(points))).tolist()
+    tol = min(SEED_MERGE_TOL * (1.0 + max(map(abs, seeds), default=0.0)), 0.5 * margin)
+    kept = seeds[:1]
+    for s in seeds[1:]:
+        if abs(s - kept[-1]) > tol:
+            kept.append(s)
+    circles = sorted(_merge_upper([Circle(s, margin) for s in kept]),
                      key=lambda c: (c.center.real, c.center.imag))
     for c in circles:
         if not domain.holds_disk(c.center, c.radius):
@@ -221,53 +231,91 @@ def _with_mirrors(v: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
-               size: int, nodes: int = 32) -> np.ndarray:
+               size: int, nodes: int = 16) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
-    Nested periodic trapezoid levels at a node count N per circle that
-    doubles: the first level takes the angles k/N, each later level only
-    the new odd angles (2k+1)/(2N), added to one raw sum that N divides,
-    so every node is solved once.  The contour's circles are its upper
-    half, and a level lays their nodes out in mirror pairs: each node of
-    a circle above the axis, or of the upper half of a circle centred on
-    it, is followed by its exact conjugate, which stands for the node of
-    the mirror circle; the nodes at angles 0 and 1/2 of an axis circle,
-    exactly real, come last.  The nodes go out in chunks of an even size,
-    _BATCH_ENTRIES // size^2 rounded down but at least 2, size being the
-    order of the solved matrices, so no chunk splits a pair and at_nodes
-    can solve a pencil once per sphere.
+    Nested periodic trapezoid rules T_N at a node count N per circle that
+    doubles.  The first pass solves the angles k/N, N = nodes (even, at
+    least 4), and reads T_(N/2) from its even nodes and T_N from all of
+    them; each later pass solves only the new odd angles (2k+1)/(2N),
+    added to one raw sum that N divides, so every node is solved once.
+    The contour's circles are its upper half, and a pass lays their nodes
+    out in mirror pairs: each node of a circle above the axis, or of the
+    upper half of a circle centred on it, is followed by its exact
+    conjugate, which stands for the node of the mirror circle; the nodes
+    at angles 0 and 1/2 of an axis circle, exactly real, come last.  The
+    nodes go out in chunks of an even size, _BATCH_ENTRIES // size^2
+    rounded down but at least 2, size being the order of the solved
+    matrices, so no chunk splits a pair and at_nodes can solve a pencil
+    once per sphere.
     at_nodes maps a chunk to one array per node, h to one value per node
-    or, with a leading axis of p, p values per node.  The convergence
-    test is on the Frobenius norm of the whole sum; a level whose sum is
-    not finite raises NoConvergence.
+    or, with a leading axis of p, p values per node.  Norms are Frobenius
+    norms of the whole sum.  With t = QUAD_REL_TOL (1 + ||T_N||), T_N is
+    returned at the first level where ||T_N - T_(N/2)|| <= t, or where
+    the geometric decay of the periodic rule certifies it: with d_N the
+    change of the sum over the mirror circles plus the change of the rest,
+    d_N < d_(N/2) and d_N^3 / d_(N/2)^2, the estimated error of T_N, is at
+    most QUAD_RATE_SAFETY t.  A circle and its mirror see a singularity
+    of h on the axis at conjugate phases, so their errors can cancel at
+    one level and not at the next; d_N does not see that cancellation.
+    A sum that is not finite raises NoConvergence, and no return below
+    NODE_CAP nodes per circle QuadratureStalled.
     """
+    if nodes < 4 or nodes % 2:
+        raise ValueError(f"the first pass needs an even node count of at least 4, got {nodes}")
     centers = np.array([c.center for c in contour.circles], dtype=complex)[:, None]
     radii = np.array([c.radius for c in contour.circles])[:, None]
     upper = centers.imag > 0.0
     chunk = max(2, _BATCH_ENTRIES // (size * size) // 2 * 2)
-    count = max(4, nodes)
+    count = nodes
     angles = np.arange(count) / count
-    raw, prev = 0.0, None
+    even = np.arange(count) % 2 == 0  # the nodes of T_(N/2) in the first pass
+    raw = 0.0  # the sums over all nodes so far, then over their mirror nodes
+    total = mirrored = delta = None
     while count <= NODE_CAP:
         dz = radii * np.exp(2j * np.pi * angles)
-        z = centers + dz
         paired = upper | ((0.0 < angles) & (angles < 0.5))
         real = ~upper & ((angles == 0.0) | (angles == 0.5))
-        # cos(0) and cos(pi) round to exactly 1 and -1
-        z = np.concatenate([_with_mirrors(z[paired]), z[real].real])
-        dz = np.concatenate([_with_mirrors(dz[paired]), dz[real].real])
+
+        def lay(v):
+            # cos(0) and cos(pi) round to exactly 1 and -1
+            v = np.broadcast_to(v, paired.shape)
+            return np.concatenate([_with_mirrors(v[paired]), v[real].real])
+
+        z, dz = lay(centers + dz), lay(dz)
+        # the weights of the sums a pass adds to: all nodes, the mirror
+        # nodes, and in the first pass the even ones and their mirrors
+        mirror = np.zeros(z.size)
+        mirror[1:2 * paired.sum():2] = np.broadcast_to(upper, paired.shape)[paired]
+        weights = [np.ones(z.size), mirror]
+        if even is not None:
+            even = lay(even.astype(float)).real
+            weights += [even, even * mirror]
+        weights = np.array(weights)
+        sums = 0.0
         for lo in range(0, z.size, chunk):
-            zc = z[lo:lo + chunk]
-            fv = np.asarray(h(zc)) * dz[lo:lo + chunk]
-            raw = raw + np.tensordot(fv, at_nodes(zc), 1)
-        total = raw / count
-        if not np.isfinite(total).all():
-            raise NoConvergence(f"quadrature sum is not finite at {count} nodes per circle")
-        if prev is not None:
-            delta = float(np.linalg.norm(total - prev))
-            if delta <= QUAD_REL_TOL * (1.0 + float(np.linalg.norm(total))):
-                return total
-        prev = total
+            part = slice(lo, lo + chunk)
+            fv = np.asarray(h(z[part])) * dz[part]
+            weighed = np.tensordot(fv[..., None, :] * weights[:, part], at_nodes(z[part]), 1)
+            sums = sums + np.moveaxis(weighed, fv.ndim - 1, 0)
+        raw = raw + sums[:2]
+        levels = [(raw, count)] if even is None else [(sums[2:], count // 2), (raw, count)]
+        for level_sums, level in levels:
+            level_total, level_mirrored = level_sums[0] / level, level_sums[1] / level
+            if not np.isfinite(level_total).all():
+                raise NoConvergence(f"quadrature sum is not finite at {level} nodes per circle")
+            if total is not None:
+                tol = QUAD_REL_TOL * (1.0 + float(np.linalg.norm(level_total)))
+                if np.linalg.norm(level_total - total) <= tol:
+                    return level_total
+                step = float(np.linalg.norm(level_mirrored - mirrored)
+                             + np.linalg.norm(level_total - level_mirrored - total + mirrored))
+                if delta is not None and step < delta \
+                        and step * (step / delta) ** 2 <= QUAD_RATE_SAFETY * tol:
+                    return level_total
+                delta = step
+            total, mirrored = level_total, level_mirrored
+        even = None
         angles = (2 * np.arange(count) + 1) / (2 * count)
         count *= 2
     raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
@@ -280,28 +328,35 @@ def _checked_solve(stack: np.ndarray, what: str) -> np.ndarray:
         inv = np.linalg.solve(stack, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularNode(f"{what} is singular at a quadrature node") from exc
-    if not np.isfinite(inv).all() or np.abs(inv).max() > 1e14:
+    if not np.abs(inv).max() <= 1e14:  # a NaN fails the comparison too
         raise SingularNode(f"{what} blew up at a quadrature node")
     return inv
 
 
 def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
-                  nodes: int = 32) -> np.ndarray:
+                  nodes: int = 16) -> np.ndarray:
     """(1/2pi i) integral of h(z) (z I - M)^-1 dz over the contour.
 
     Nested periodic trapezoid sums, all circles at a shared node count
-    that doubles until two successive totals agree to 1e-10 relative;
-    each level solves only its new nodes, all circles together in
-    bounded chunks, and the cap of 2^16 nodes per circle raises
-    QuadratureStalled.  h maps a node array to its values, shape
-    (p, nodes) for a stack of p matrices.
+    that doubles from the first pass of nodes per circle (even, at least
+    4) until the change between two levels, or the error that their
+    geometric decay implies, is small: the returned sum's estimated error
+    is at most QUAD_RATE_SAFETY QUAD_REL_TOL relative (see _trapezoid).
+    Each level solves only its new nodes, all circles together in bounded
+    chunks, and the cap of 2^16 nodes per circle raises QuadratureStalled.
+    h maps a node array to its values, shape (p, nodes) for a stack of p
+    matrices.
     """
     M = np.asarray(M, dtype=complex)
-    eye = np.eye(M.shape[0])
-    return _trapezoid(
-        contour, h,
-        lambda z: _checked_solve(z[:, None, None] * eye - M, "the resolvent"),
-        M.shape[0], nodes)
+    n = M.shape[0]
+
+    def resolvents(z: np.ndarray) -> np.ndarray:
+        # z I - M as a copy of -M with z added on the diagonal
+        stack = np.repeat(-M[None], z.size, axis=0)
+        stack.reshape(z.size, n * n)[:, ::n + 1] += z[:, None]
+        return _checked_solve(stack, "the resolvent")
+
+    return _trapezoid(contour, h, resolvents, n, nodes)
 
 
 def _s_contour_value(A: QMatrix, h: Callable, contour: SliceContour) -> list[QMatrix]:

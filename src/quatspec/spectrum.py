@@ -421,12 +421,21 @@ def classify(A: QMatrix, q) -> Classification:
 
     q lies on the S-spectrum exactly when the real representation of
     Q_q(A) is singular; numerically, when its smallest singular value
-    drops below 1e-10 * (1 + ||A||^2).
+    drops below 1e-10 * (1 + ||A||^2).  For rho = |q| > 1 the test runs
+    on Q_q(A) / rho^2 = Q_(q/rho)(A/rho) against the threshold divided
+    by rho^2, so it holds where |q|^2 overflows, and smin and threshold
+    are those of the scaled pencil.  A scaled threshold that underflows
+    to zero leaves no numerical test and raises NoConvergence.
     """
     q = as_quaternion(q)
+    rho = max(1.0, abs(q))
+    if rho > 1.0:
+        A, q = A * (1.0 / rho), q / rho
     rep = left_mult_rep(q_pencil(A, q))
     smin = float(np.linalg.svd(rep, compute_uv=False)[-1])
-    threshold = CLASSIFY_REL_TOL * (1.0 + A.norm ** 2)
+    threshold = CLASSIFY_REL_TOL * ((1.0 / rho) ** 2 + A.norm ** 2)
+    if threshold == 0.0:
+        raise NoConvergence(f"the membership threshold at |q| = {rho:.6g} underflows")
     verdict = "point_spectrum" if smin <= threshold else "resolvent"
     return Classification(verdict, smin, threshold)
 

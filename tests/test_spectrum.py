@@ -28,6 +28,7 @@ from quatspec import (
     delta,
     distance_to_spectrum,
     eigenvalues,
+    left_mult_rep,
     neumann_coefficients,
     q_pencil,
     q_pencil_inverse,
@@ -696,6 +697,26 @@ def test_classify_raises_no_convergence_where_the_pencil_overflows():
     A = QMatrix.diag([I, Quaternion(2.0)])
     with pytest.raises(NoConvergence):
         classify(A, 1e200)
+
+
+def test_classify_scales_the_pencil_beyond_unit_modulus():
+    # Q_q(A) = rho^2 Q_(q/rho)(A/rho): smin and threshold are the unscaled
+    # ones over rho^2, and the verdict is theirs
+    gen = rng(63)
+    for _ in range(N_DRAWS):
+        A = random_qmatrix(gen, int(gen.integers(1, 4)))
+        q = random_quaternion(gen) * float(gen.uniform(1.5, 4.0))
+        rho = abs(q)
+        res = classify(A, q)
+        smin = np.linalg.svd(left_mult_rep(q_pencil(A, q)), compute_uv=False)[-1]
+        assert res.smin == pytest.approx(smin / rho**2, rel=1e-9, abs=1e-14)
+        assert res.threshold == pytest.approx(
+            qspec.CLASSIFY_REL_TOL * (1 + A.norm**2) / rho**2, rel=1e-12)
+        assert (res.verdict == "point_spectrum") == (res.smin <= res.threshold)
+    # where |q|^2 overflows, the far point is in the resolvent
+    A = QMatrix.diag([I, Quaternion(2.0)])
+    assert classify(A, 2e154).verdict == "resolvent"
+    assert classify(A, Quaternion(0.0, 0.0, -2e154, 0.0)).verdict == "resolvent"
 
 
 def test_classify_verdict_matches_threshold():

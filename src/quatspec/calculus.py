@@ -12,7 +12,11 @@ A itself against f along the same contour,
     f(A) = (1/2pi) sum over nodes  S_L(s, A) * ds_i * f(s),
 
 with ds_i the contour differential rotated by -i, so agreement of the
-two routes is a genuine cross-check rather than a restatement.
+two routes is a genuine cross-check rather than a restatement.  Both
+routes feed one nested trapezoid loop (_trapezoid), which returns a sum
+whose change from the level before is within QUAD_REL_TOL relative, or
+whose error, estimated from the geometric decay of those changes, is at
+most QUAD_RATE_SAFETY * QUAD_REL_TOL relative.
 
 Contours are finite unions of disjoint, positively oriented circles in
 the slice plane, closed under conjugation, each centered near spectral
@@ -238,7 +242,7 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     doubles.  The first pass solves the angles k/N, N = nodes (even, at
     least 4), and reads T_(N/2) from its even nodes and T_N from all of
     them; each later pass solves only the new odd angles (2k+1)/(2N),
-    added to one raw sum that N divides, so every node is solved once.
+    added to the running sums that N divides, so every node is solved once.
     The contour's circles are its upper half, and a pass lays their nodes
     out in mirror pairs: each node of a circle above the axis, or of the
     upper half of a circle centred on it, is followed by its exact
@@ -270,7 +274,7 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     count = nodes
     angles = np.arange(count) / count
     even = np.arange(count) % 2 == 0  # the nodes of T_(N/2) in the first pass
-    raw = 0.0  # the sums over all nodes so far, then over their mirror nodes
+    sums = []  # over all nodes so far, over their mirror nodes, then a pass's own
     total = mirrored = delta = None
     while count <= NODE_CAP:
         dz = radii * np.exp(2j * np.pi * angles)
@@ -287,21 +291,27 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
         # nodes, and in the first pass the even ones and their mirrors
         mirror = np.zeros(z.size)
         mirror[1:2 * paired.sum():2] = np.broadcast_to(upper, paired.shape)[paired]
-        weights = [np.ones(z.size), mirror]
+        weights = [None, mirror]
         if even is not None:
             even = lay(even.astype(float)).real
             weights += [even, even * mirror]
-        weights = np.array(weights)
-        sums = 0.0
         for lo in range(0, z.size, chunk):
             part = slice(lo, lo + chunk)
             fv = np.asarray(h(z[part])) * dz[part]
-            weighed = np.tensordot(fv[..., None, :] * weights[:, part], at_nodes(z[part]), 1)
-            sums = sums + np.moveaxis(weighed, fv.ndim - 1, 0)
-        raw = raw + sums[:2]
-        levels = [(raw, count)] if even is None else [(sums[2:], count // 2), (raw, count)]
-        for level_sums, level in levels:
-            level_total, level_mirrored = level_sums[0] / level, level_sums[1] / level
+            solved = at_nodes(z[part])
+            for k, w in enumerate(weights):
+                term = np.tensordot(fv if w is None else fv * w[part], solved, 1)
+                if k < len(sums):
+                    sums[k] += term  # in place: one copy of each sum is held
+                else:
+                    sums.append(term)
+            del solved, term  # one chunk of solutions held at a time
+        levels = [(sums[0], sums[1], count)]
+        if even is not None:
+            levels.insert(0, (sums.pop(2), sums.pop(2), count // 2))
+        while levels:  # popped, so no sum of a finished level stays held
+            level_sum, mirror_sum, level = levels.pop(0)
+            level_total, level_mirrored = level_sum / level, mirror_sum / level
             if not np.isfinite(level_total).all():
                 raise NoConvergence(f"quadrature sum is not finite at {level} nodes per circle")
             if total is not None:
@@ -339,11 +349,11 @@ def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
 
     Nested periodic trapezoid sums, all circles at a shared node count
     that doubles from the first pass of nodes per circle (even, at least
-    4) until the change between two levels, or the error that their
-    geometric decay implies, is small: the returned sum's estimated error
-    is at most QUAD_RATE_SAFETY QUAD_REL_TOL relative (see _trapezoid).
-    Each level solves only its new nodes, all circles together in bounded
-    chunks, and the cap of 2^16 nodes per circle raises QuadratureStalled.
+    4) until two levels agree to QUAD_REL_TOL relative, or the geometric
+    decay of their changes puts the estimated error of the sum at most
+    QUAD_RATE_SAFETY QUAD_REL_TOL relative (see _trapezoid).  Each level
+    solves only its new nodes, all circles together in bounded chunks,
+    and the cap of 2^16 nodes per circle raises QuadratureStalled.
     h maps a node array to its values, shape (p, nodes) for a stack of p
     matrices.
     """

@@ -576,35 +576,15 @@ def test_exit_three_when_stem_values_are_not_finite(tmp_path, capsys, method):
         [(w.filename, str(w.message)) for w in caught]
 
 
-@pytest.mark.parametrize("alpha", ["1e154", "-1e154", "1.3e154"])
+@pytest.mark.parametrize("alpha", ["1e154", "-1e154", "1.3e154", "1.4e154", "2e154"])
 @pytest.mark.parametrize("entries", [
     [[[0, 1, 0, 0]]],
     [[[0, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [2, 0, 0, 0]]],
 ], ids=["readme", "two-sphere"])
 def test_distance_answers_where_the_frobenius_norm_overflows(tmp_path, capsys,
                                                              entries, alpha):
-    # ||alpha I - A||_F overflows from about 1e154, while the distance
-    # itself is about |alpha|
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": len(entries), "entries": entries}))
-    code, env, err = run_cli(capsys, "distance", f"--alpha={alpha}",
-                             "--input", str(path))
-    assert code == 0, err
-    assert err == ""
-    payload = env["payload"]
-    assert payload["geometric"] == pytest.approx(abs(float(alpha)), rel=1e-12)
-    assert payload["via_radius"] == pytest.approx(abs(float(alpha)), rel=1e-12)
-
-
-@pytest.mark.parametrize("alpha", ["1.4e154", "2e154", "-2e154"])
-@pytest.mark.parametrize("entries", [
-    [[[0, 1, 0, 0]]],
-    [[[0, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [2, 0, 0, 0]]],
-], ids=["readme", "two-sphere"])
-def test_distance_answers_where_alpha_squared_overflows(tmp_path, capsys,
-                                                        entries, alpha):
-    # alpha^2 overflows from about 1.34e154; the membership pre-check runs
-    # on the pencil scaled by 1 / alpha^2, so the distance still answers
+    # ||alpha I - A||_F overflows from about 1e154 and alpha^2 from about
+    # 1.34e154, while the distance itself is about |alpha|
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": len(entries), "entries": entries}))
     code, env, err = run_cli(capsys, "distance", f"--alpha={alpha}",

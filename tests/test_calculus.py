@@ -624,9 +624,10 @@ def _deep_trapezoid(contour, h, at_nodes, size, nodes=16):
     Nested levels over both halves of the contour, from 32 nodes per
     circle, until two successive changes are each at most 1e-11 of
     1 + ||T||, a tenth of the tested tolerance: small circles about a
-    non-normal spectrum leave a roundoff floor near 1e-12, which an
-    average over more nodes lowers only slowly.  At NODE_CAP nodes per
-    circle one such change will do; a larger one fails the test.
+    non-normal spectrum leave a roundoff floor of 1e-12 and more (near
+    1e-10 on the s-contour route), which an average over more nodes
+    lowers only slowly.  At NODE_CAP nodes per circle one such change
+    will do; a larger one fails the test.
     """
     circles = _both_halves(contour)
     count, angles = 32, np.arange(32) / 32

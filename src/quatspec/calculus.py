@@ -235,13 +235,15 @@ def _with_mirrors(v: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
-               size: int, nodes: int = 16) -> np.ndarray:
+               size: int, nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
     Nested periodic trapezoid rules T_N at a node count N per circle that
-    doubles.  The first pass solves the angles k/N, N = nodes (even, at
-    least 4), and reads T_(N/2) from its even nodes and T_N from all of
-    them; each later pass solves only the new odd angles (2k+1)/(2N),
+    doubles.  The first pass solves the angles k/N, N = nodes (a multiple
+    of 4, at least 8), and reads T_(N/4) from every fourth of its nodes,
+    T_(N/2) from every second and T_N from all of them, so it makes no
+    more passes than a rule that checks only T_N against T_(N/2); each
+    later pass solves only the new odd angles (2k+1)/(2N),
     added to the running sums that N divides, so every node is solved once.
     The contour's circles are its upper half, and a pass lays their nodes
     out in mirror pairs: each node of a circle above the axis, or of the
@@ -265,15 +267,17 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     A sum that is not finite raises NoConvergence, and no return below
     NODE_CAP nodes per circle QuadratureStalled.
     """
-    if nodes < 4 or nodes % 2:
-        raise ValueError(f"the first pass needs an even node count of at least 4, got {nodes}")
+    if nodes < 8 or nodes % 4:
+        raise ValueError(f"the first pass needs a multiple of 4 nodes, at least 8, got {nodes}")
     centers = np.array([c.center for c in contour.circles], dtype=complex)[:, None]
     radii = np.array([c.radius for c in contour.circles])[:, None]
     upper = centers.imag > 0.0
     chunk = max(2, _BATCH_ENTRIES // (size * size) // 2 * 2)
     count = nodes
     angles = np.arange(count) / count
-    even = np.arange(count) % 2 == 0  # the nodes of T_(N/2) in the first pass
+    # the first pass also sums every fourth and every second of its nodes,
+    # the rules of count/4 and count/2 nodes
+    coarse = [np.arange(count) % 4 == 0, np.arange(count) % 2 == 0]
     sums = []  # over all nodes so far, over their mirror nodes, then a pass's own
     total = mirrored = delta = None
     while count <= NODE_CAP:
@@ -287,14 +291,14 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
             return np.concatenate([_with_mirrors(v[paired]), v[real].real])
 
         z, dz = lay(centers + dz), lay(dz)
-        # the weights of the sums a pass adds to: all nodes, the mirror
-        # nodes, and in the first pass the even ones and their mirrors
+        # the weights of the sums a pass adds to: all nodes and the mirror
+        # nodes, then in the first pass each coarse rule and its mirrors
         mirror = np.zeros(z.size)
         mirror[1:2 * paired.sum():2] = np.broadcast_to(upper, paired.shape)[paired]
         weights = [None, mirror]
-        if even is not None:
-            even = lay(even.astype(float)).real
-            weights += [even, even * mirror]
+        for picked in coarse:
+            picked = lay(picked.astype(float)).real
+            weights += [picked, picked * mirror]
         for lo in range(0, z.size, chunk):
             part = slice(lo, lo + chunk)
             fv = np.asarray(h(z[part])) * dz[part]
@@ -306,9 +310,8 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
                 else:
                     sums.append(term)
             del solved, term  # one chunk of solutions held at a time
-        levels = [(sums[0], sums[1], count)]
-        if even is not None:
-            levels.insert(0, (sums.pop(2), sums.pop(2), count // 2))
+        levels = [(sums.pop(2), sums.pop(2), count >> len(coarse) - k)
+                  for k in range(len(coarse))] + [(sums[0], sums[1], count)]
         while levels:  # popped, so no sum of a finished level stays held
             level_sum, mirror_sum, level = levels.pop(0)
             level_total, level_mirrored = level_sum / level, mirror_sum / level
@@ -325,7 +328,7 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
                     return level_total
                 delta = step
             total, mirrored = level_total, level_mirrored
-        even = None
+        coarse = []
         angles = (2 * np.arange(count) + 1) / (2 * count)
         count *= 2
     raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
@@ -344,12 +347,12 @@ def _checked_solve(stack: np.ndarray, what: str) -> np.ndarray:
 
 
 def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
-                  nodes: int = 16) -> np.ndarray:
+                  nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) (z I - M)^-1 dz over the contour.
 
     Nested periodic trapezoid sums, all circles at a shared node count
-    that doubles from the first pass of nodes per circle (even, at least
-    4) until two levels agree to QUAD_REL_TOL relative, or the geometric
+    that doubles from the first pass of nodes per circle (a multiple of
+    4, at least 8) until two levels agree to QUAD_REL_TOL relative, or the geometric
     decay of their changes puts the estimated error of the sum at most
     QUAD_RATE_SAFETY QUAD_REL_TOL relative (see _trapezoid).  Each level
     solves only its new nodes, all circles together in bounded chunks,

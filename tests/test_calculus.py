@@ -530,8 +530,8 @@ def _final_node_count(contour, z):
     """N such that z holds every node of the N-point rule once, else fail."""
     circles = _both_halves(contour)
     count, rest = divmod(len(z), len(circles))
-    assert rest == 0 and count >= 16 and count % 16 == 0
-    assert (count // 16) & (count // 16 - 1) == 0, count
+    assert rest == 0 and count >= 32 and count % 32 == 0
+    assert (count // 32) & (count // 32 - 1) == 0, count
     gap = [np.abs(np.abs(z - c.center) - c.radius) for c in circles]
     owner = np.argmin(gap, axis=0)
     for idx, c in enumerate(circles):
@@ -578,10 +578,9 @@ def test_nested_trapezoid_solves_each_node_once(monkeypatch, route, circles):
     size = 2 * A.n
     assert (len(_both_halves(contour)) * count // 2
             <= qcalc._BATCH_ENTRIES // size**2)
-    # the first pass solves the 16-node rule, each later one doubles it
-    passes = int(math.log2(count // 16)) + 1
-    assert len(stacks) == passes
-    assert stacks[0] == _solves(route, contour, 16)
+    levels = int(math.log2(count // 32)) + 1
+    assert len(stacks) == levels
+    assert stacks[0] == _solves(route, contour, 32)
 
 
 @pytest.mark.parametrize("route", ["complex_path", "s_contour"])
@@ -618,7 +617,7 @@ def test_mirror_pairs_share_a_chunk_at_an_odd_bound(monkeypatch):
 
 # ---------------------------------------------------------------- stop rule
 
-def _deep_trapezoid(contour, h, at_nodes, size, nodes=16):
+def _deep_trapezoid(contour, h, at_nodes, size, nodes=32):
     """The quadrature run on past any stop rule: the reference for it.
 
     Nested levels over both halves of the contour, from 32 nodes per
@@ -710,7 +709,7 @@ def test_stop_rule_solves_no_more_nodes_than_the_resolving_rule(A, name, method)
     # per circle are those the one-delta nested rule solved
     trapezoid, counts = qcalc._trapezoid, []
 
-    def both(contour, h, at_nodes, size, nodes=16):
+    def both(contour, h, at_nodes, size, nodes=32):
         new, old = [], []
 
         def recorded(log):

@@ -22,7 +22,16 @@ Contours are finite unions of disjoint, positively oriented circles in
 the slice plane, closed under conjugation, each centered near spectral
 data and kept inside the function's domain.  A contour is held as its
 upper half: the circles centred on or above the real axis, each one
-above the axis standing for itself and its mirror.
+above the axis standing for itself and its mirror.  auto_contour places
+the circles for fast convergence: on a circle of radius r the trapezoid
+rule converges like (r / rho)^N, rho the distance from its centre to the
+nearest singularity outside it.  It takes the widest margin of its
+ladder, down to MARGIN_FLOOR = 0.01 of the spectrum's scale, whose
+circles keep every eigenvalue outside them at least r / kappa from their
+centre (kappa = CLEARANCE_RATIO = 0.4) and keep the disk of radius
+r / kappa about a single eigenvalue inside the domain; failing that,
+the widest that keeps the distance, and failing that the widest that
+fits.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -99,6 +109,8 @@ QUAD_RATE_SAFETY = 1e-4  # estimated quadrature error, as a fraction of QUAD_REL
 EXP_SERIES_TOL = 1e-16  # relative size of the last two exponential series terms
 SUITE_TOL = 1e-8  # largest discrepancy a verify suite passes with
 SEED_MERGE_TOL = 1e-10  # seeds this close, relative to the spectrum, share a circle
+CLEARANCE_RATIO = 0.4  # kappa: a circle of radius r keeps r / kappa clear (auto_contour)
+MARGIN_FLOOR = 0.01  # smallest placed margin, relative to 1 + max |z| (auto_contour)
 _BATCH_ENTRIES = 1 << 16  # matrix entries per batched solve
 
 
@@ -178,50 +190,138 @@ def _merge_upper(circles: list[Circle]) -> list[Circle]:
         cs = [c for t, c in enumerate(cs) if t not in pair] + [merged]
 
 
-def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
-    """Circles of the given margin around every spectral point.
+def _kept_seeds(points, margin: float = math.inf) -> list[complex]:
+    """The distinct (Re z, |Im z|) of the points, in sorted order.
 
-    points is any complex array, such as A.chi_eigenvalues.  The distinct
-    (Re z, |Im z|), in sorted order, seed the circles: a seed within
-    tol = min(SEED_MERGE_TOL (1 + max |z|), margin / 2) of the last kept
-    seed, such as an eigenvalue and the mirror of its conjugate partner,
-    which differ by roundoff, seeds none.  Each kept seed seeds a circle
-    of radius margin, which _merge_upper folds onto the real axis when it
-    reaches the axis and merges with any circle it overlaps, so every
-    point and its conjugate stay at least margin - tol >= margin / 2 away
-    from the final contour, and inside it.  The circles come sorted by
-    centre.  Disks leaving the domain raise DomainTooTight; the domain is
-    symmetric, so the mirror disks need no check.
+    A seed within tol = min(SEED_MERGE_TOL (1 + max |z|), margin / 2) of
+    the last kept seed, such as an eigenvalue and the mirror of its
+    conjugate partner, which differ by roundoff, is dropped.
     """
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
     seeds = np.sort(np.real(points) + 1j * np.abs(np.imag(points))).tolist()
     tol = min(SEED_MERGE_TOL * (1.0 + max(map(abs, seeds), default=0.0)), 0.5 * margin)
     kept = seeds[:1]
     for s in seeds[1:]:
         if abs(s - kept[-1]) > tol:
             kept.append(s)
-    circles = sorted(_merge_upper([Circle(s, margin) for s in kept]),
-                     key=lambda c: (c.center.real, c.center.imag))
-    for c in circles:
-        if not domain.holds_disk(c.center, c.radius):
-            raise DomainTooTight(
-                f"margin {margin:.3g} pushes a contour disk out of the domain")
-    return SliceContour(tuple(circles))
+    return kept
+
+
+def _upper_circles(kept: list[complex], margin: float) -> tuple[Circle, ...]:
+    """The merged circles of the given margin about the kept seeds, sorted by centre."""
+    return tuple(sorted(_merge_upper([Circle(s, margin) for s in kept]),
+                        key=lambda c: (c.center.real, c.center.imag)))
+
+
+def _disks(circles) -> tuple[np.ndarray, np.ndarray]:
+    """The centres and the radii of the circles, as arrays."""
+    return (np.array([c.center for c in circles], dtype=complex),
+            np.array([c.radius for c in circles]))
+
+
+def build_contour(points, domain: AxSymDomain, margin: float) -> SliceContour:
+    """Circles of the given margin around every spectral point.
+
+    points is any complex array, such as A.chi_eigenvalues.  Its kept
+    seeds (_kept_seeds: the distinct (Re z, |Im z|), near duplicates
+    within tol <= margin / 2 dropped) each seed a circle of radius margin,
+    which _merge_upper folds onto the real axis when it reaches the axis
+    and merges with any circle it overlaps, so every point and its
+    conjugate stay at least margin - tol >= margin / 2 away from the
+    final contour, and inside it.  The circles come sorted by centre.
+    Disks leaving the domain raise DomainTooTight, tested in one
+    holds_disk call; the domain is symmetric, so the mirror disks need no
+    check.
+    """
+    if margin <= 0.0:
+        raise ValueError("margin must be positive")
+    circles = _upper_circles(_kept_seeds(points, margin), margin)
+    if not domain.holds_disk(*_disks(circles)).all():
+        raise DomainTooTight(
+            f"margin {margin:.3g} pushes a contour disk out of the domain")
+    return SliceContour(circles)
+
+
+def _ranked_rungs(kept: list[complex], domain: AxSymDomain, margins: list[float],
+                  top: int) -> list[tuple[tuple[Circle, ...], int]]:
+    """The circles of each margin with the rank of the tests they pass.
+
+    Rank 0 fails (a), 1 meets (a) alone, 2 meets (a) and (b), 3 meets
+    (a), (b) and (c) (see auto_contour); no rank exceeds top.  One
+    distance matrix from every circle of every margin to every seed gives
+    (b) and the seed counts, and all disks of (a) and (c) go through one
+    holds_disk call.  Where each rung is a single circle, as on the top
+    rung, no distance is needed.
+    """
+    rungs = [_upper_circles(kept, m) for m in margins]
+    centers, radii = _disks([c for cs in rungs for c in cs])
+    n = centers.size
+    if n == len(rungs):
+        # a rung of one circle holds every seed: (b) holds, and (c)
+        # applies when there is only one seed
+        clear, single = np.full(n, True), np.full(n, len(kept) == 1)
+    else:
+        dist = np.abs(np.array(kept) - centers[:, None])
+        inside = dist < radii[:, None]
+        clear = (inside | (dist >= radii[:, None] / CLEARANCE_RATIO)).all(axis=1)
+        single = clear & (inside.sum(axis=1) == 1)  # (c) counts only where (b) holds
+    held = domain.holds_disk(np.concatenate([centers, centers[single]]),
+                             np.concatenate([radii, radii[single] / CLEARANCE_RATIO]))
+    edge = np.full(n, True)  # a circle about several seeds is exempt from (c)
+    edge[single] = held[n:]
+    rank = np.minimum(held[:n] * (1 + clear * (1 + edge)), top).tolist()
+    ranked, lo = [], 0
+    for cs in rungs:  # a rung ranks as its lowest circle
+        ranked.append((cs, min(rank[lo:lo + len(cs)])))
+        lo += len(cs)
+    return ranked
 
 
 def auto_contour(points, domain: AxSymDomain) -> SliceContour:
-    """Widest build_contour of 24 margins from 0.45 (1 + max |z|) down by 0.6."""
-    margin = 0.45 * (1.0 + float(np.abs(points).max()))
-    last = None
-    for _ in range(24):
-        try:
-            return build_contour(points, domain, margin)
-        except DomainTooTight as exc:
-            last = exc
-        margin *= 0.6
-    raise DomainTooTight(
-        "no contour margin separates the spectrum from the domain edge") from last
+    """The build_contour of the first margin that places its circles clear.
+
+    The margins form a ladder of 24 rungs, 0.45 (1 + max |z|) down by
+    0.6.  The trapezoid rule on a circle of radius r converges like
+    (r / rho)^N, rho the distance from its centre to the nearest
+    singularity outside it, so a rung is accepted once its circles are
+    placed for fast convergence.  With kappa = CLEARANCE_RATIO, each
+    circle (c, r) of the rung must have
+      (a) its disk in the domain (build_contour's test);
+      (b) every kept seed s that it does not enclose at |s - c| >= r /
+          kappa.  The seeds are the points' representatives on or above
+          the axis, so a point whose mirror the circle encloses is not
+          its neighbour;
+      (c) if it encloses exactly one kept seed, the concentric disk of
+          radius r / kappa in the domain.  A circle about a cluster or a
+          defective cloud is exempt: shrinking it trades roundoff for
+          nodes.
+    Only rungs at or above MARGIN_FLOOR (1 + max |z|) are placed, since
+    the s-contour route loses digits to roundoff on small circles.  The
+    first rung there meeting (a), (b) and (c) is returned; failing that,
+    the first one meeting (a) and (b); failing that, the first rung of
+    the whole ladder meeting (a), the widest contour that fits.  An
+    entire function fits on the top rung with every point inside, so its
+    contour is the widest.  The seeds are kept once per call: the
+    ladder's smallest margin, 3.6e-6 (1 + max |z|), keeps margin / 2 far
+    above the merge tolerance, so build_contour keeps the same seeds on
+    every rung.  The top rung is tested alone, then the other placed
+    rungs together, then the rest, each group with one holds_disk call.
+    """
+    kept = _kept_seeds(points)
+    scale = 1.0 + float(np.abs(points).max())
+    margins = list(itertools.accumulate(itertools.repeat(0.6, 23), operator.mul,
+                                        initial=0.45 * scale))
+    floor = next((k for k, m in enumerate(margins) if m < MARGIN_FLOOR * scale), 24)
+    # each group: its rungs, the highest rank they can take (below the
+    # floor only (a) counts) and the best rank so far that settles the choice
+    rungs = []
+    for group, top, enough in ((slice(0, 1), 3, 3), (slice(1, floor), 3, 1),
+                               (slice(floor, None), 1, 1)):
+        if margins[group]:
+            rungs += _ranked_rungs(kept, domain, margins[group], top)
+            best = max(rank for _, rank in rungs)
+            if best >= enough:
+                return SliceContour(next(cs for cs, rank in rungs if rank == best))
+    raise DomainTooTight("no contour margin separates the spectrum from the domain edge")
 
 
 # -- quadrature -------------------------------------------------------------

@@ -198,15 +198,13 @@ def _full_merge_upper(circles):
     raise AssertionError("reference merge did not stabilize")
 
 
-def _full_build_contour(points, domain, margin):
-    """Both halves of the contour, mirrors and domain checks included.
-
-    The points are sphere representatives, on or above the axis, taken
-    once each in the order of their real parts, then their heights; a
-    real part -0.0 is read as 0.0.  A point within SEED_MERGE_TOL of the
-    scale, or half the margin, of the last point taken is left out.
+def _reference_seeds(points, margin):
+    """The points taken once each in the order of their real parts, then
+    their heights, a real part -0.0 read as 0.0; a point within
+    SEED_MERGE_TOL of the scale, or half the margin, of the last point
+    taken is left out.  The points are sphere representatives, on or
+    above the axis.
     """
-    upper = []
     seeds = sorted({complex(z.real + 0.0, z.imag) for z in points},
                    key=lambda z: (z.real, z.imag))
     tol = min(qcalc.SEED_MERGE_TOL * (1.0 + max(map(abs, seeds))), 0.5 * margin)
@@ -214,7 +212,14 @@ def _full_build_contour(points, domain, margin):
     for z in seeds[1:]:
         if abs(z - kept[-1]) > tol:
             kept.append(z)
-    for z in kept:
+    return kept
+
+
+def _full_build_contour(points, domain, margin):
+    """Both halves of the contour, mirrors and domain checks included,
+    about the _reference_seeds of the points."""
+    upper = []
+    for z in _reference_seeds(points, margin):
         if z.imag < margin:
             upper.append(Circle(complex(z.real, 0.0), z.imag + margin))
         else:
@@ -273,16 +278,56 @@ def _sphere_sets(draw):
     return points
 
 
+def _placed_reference(points, domain):
+    """The circles auto_contour places, chosen in plain loops: the reference.
+
+    On each rung of the ladder, the reference circles (both halves) are
+    tested for (a) fit: the contour builds; (b) neighbours: every seed
+    or mirror of a seed z that a circle (c, r) holds neither itself
+    (|z - c| >= r) nor by its mirror (|conj z - c| >= r) lies at least
+    r / kappa from c; (c) edge: a circle on or above the axis holding
+    exactly one seed holds its disk of radius r / kappa.  The first rung
+    at or above the floor meeting all three
+    is taken, else the first there meeting (a) and (b), else the first
+    rung of the ladder meeting (a); None if none does.
+    """
+    kappa = qcalc.CLEARANCE_RATIO
+    scale = 1.0 + float(np.abs(points).max())
+    margin, first = 0.45 * scale, {}
+    for _ in range(24):
+        try:
+            circles = _full_build_contour(points, domain, margin)
+        except DomainTooTight:
+            circles = None
+        if circles is not None:
+            upper = [c for c in circles if c.center.imag >= 0.0]
+            first.setdefault("a", upper)
+            seeds = _reference_seeds(points, margin)
+            neighbours = [(c, abs(z - c.center)) for c in circles for s in seeds
+                          for z in (s, s.conjugate())
+                          if abs(z - c.center) >= c.radius
+                          and abs(z.conjugate() - c.center) >= c.radius]
+            if margin >= qcalc.MARGIN_FLOOR * scale and \
+                    all(d >= c.radius / kappa for c, d in neighbours):
+                first.setdefault("ab", upper)
+                lone = [c for c in upper
+                        if sum(abs(s - c.center) < c.radius for s in seeds) == 1]
+                if all(domain.holds_disk(c.center, c.radius / kappa) for c in lone):
+                    return upper
+        margin *= 0.6
+    return first.get("ab", first.get("a"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(points=_sphere_sets(), domain=st.sampled_from(sorted(CONTOUR_DOMAINS)))
 def test_contour_is_the_upper_half_of_the_full_reference(points, domain):
     # on every rung of the margin ladder the circles are bitwise the
     # reference's circles on or above the axis, in its order, and
     # DomainTooTight is raised exactly where the reference raises it;
-    # auto_contour takes the first rung the reference builds
+    # auto_contour takes the rung the placement rule picks from them
     dom = CONTOUR_DOMAINS[domain]
     scale = 1.0 + float(np.abs(points).max())
-    margin, first = 0.45 * scale, None
+    margin = 0.45 * scale
     for _ in range(24):
         # the reference ladder's other limit, 1e-6 of the scale, never binds
         assert margin >= 1e-6 * scale
@@ -290,10 +335,10 @@ def test_contour_is_the_upper_half_of_the_full_reference(points, domain):
                                  if c.center.imag >= 0.0], points, dom, margin)
         got = _bits(lambda *a: build_contour(*a).circles, points, dom, margin)
         assert got == want, margin
-        if first is None:
-            first = want
         margin *= 0.6
-    assert _bits(lambda: auto_contour(points, dom).circles) == first
+    placed = _placed_reference(points, dom)
+    assert _bits(lambda: auto_contour(points, dom).circles) == \
+        (None if placed is None else _bits(lambda: placed))
 
 
 @settings(max_examples=150, deadline=None)
@@ -664,11 +709,9 @@ def _slice_point(gen, radius=(0.3, 2.0), angle=(0.0, 0.9 * math.pi)):
     return cmath.rect(gen.uniform(*radius), gen.uniform(*angle))
 
 
-@st.composite
-def _planted_matrices(draw):
-    """Planted A with n <= 6: generic, one eigenvalue near the log cut, or a Jordan block."""
-    shape = draw(st.sampled_from(["generic", "near cut", "jordan"]))
-    gen = rng(draw(st.integers(0, 2**32 - 1)))
+def _planted_draw(gen, shape):
+    """Planted A with n <= 6 drawn from gen: generic, one eigenvalue near
+    the log cut, or a Jordan block."""
     if shape == "jordan":
         lam = _slice_point(gen, (0.5, 1.5), (0.2, 0.8 * math.pi))
         return _planted_jordan(gen, int(gen.integers(2, 5)), lam)
@@ -676,6 +719,12 @@ def _planted_matrices(draw):
     if shape == "near cut":
         values[0] = complex(-gen.uniform(0.3, 1.5), 10.0 ** gen.uniform(-3.0, -1.0))
     return _planted(gen, values)
+
+
+@st.composite
+def _planted_matrices(draw):
+    shape = draw(st.sampled_from(["generic", "near cut", "jordan"]))
+    return _planted_draw(rng(draw(st.integers(0, 2**32 - 1))), shape)
 
 
 STOP_RULE_FNS = ("exp", "log", "sqrt", "pow:-1", "ratpoly:[1.0, 0.5]/[14.0, 0.0, 1.0]")
@@ -765,12 +814,68 @@ def _five_about_the_cut():
 def test_stop_rule_misses_where_the_decay_rate_changes(plant, name, method):
     # the one-delta rule meets the tolerance on these; the rate rule
     # returns errors of 10, 10 and 1.6 times it
-    A, f = plant(), catalog(name)
+    _assert_matches_the_deep_reference(plant(), catalog(name), method)
+
+
+def _assert_matches_the_deep_reference(A, f, method):
     got = calculus_sided(A, f, method=method)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcalc, "_trapezoid", _deep_trapezoid)
         want = calculus_sided(A, f, method=method)
     assert got.distance(want) <= qcalc.QUAD_REL_TOL * (1.0 + want.norm)
+
+
+@pytest.mark.parametrize("seed, n, method", [(21885, 2, "s_contour"),
+                                             (52200, 6, "complex_path")])
+def test_placed_circles_answer_where_the_widest_margin_stalled(seed, n, method):
+    # near-cut draws whose widest fitting margin left an axis circle 3.7e-6
+    # and 4.6e-5 from the pole of pow:-1 at 0, where the quadrature ran to
+    # NODE_CAP and raised QuadratureStalled
+    A = _planted_draw(rng(seed), "near cut")
+    assert A.n == n
+    _assert_matches_the_deep_reference(A, catalog("pow:-1"), method)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureStalled,
+                   reason="a circle about a cluster of seeds is exempt from the edge "
+                   "test: the one circle about this Jordan pair passes 3.7e-4 from "
+                   "the pole of pow:-1 at 0")
+def test_a_cluster_circle_by_a_pole_stalls():
+    # a 2 x 2 Jordan block at 0.0012 + 0.819i: the top rung's circle of
+    # radius 0.8185 holds both seeds of the defective pair
+    _assert_matches_the_deep_reference(_planted_draw(rng(51391), "jordan"),
+                                       catalog("pow:-1"), "complex_path")
+
+
+def _grid_plant():
+    # n = 8 eigenvalues on the polar grid of the benchmark's calculus plants:
+    # radii evenly through [0.6, 1.5], angles by the golden ratio through
+    # [-0.6 pi, 0.6 pi], so every point is at least 0.5 from the log cut
+    values = [cmath.rect(0.6 + 0.9 * (k + 0.5) / 8,
+                         -0.6 * math.pi + 1.2 * math.pi * ((k * 0.6180339887) % 1.0))
+              for k in range(8)]
+    return _planted(rng(227), values)
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("name", ["log", "sqrt"])
+def test_placed_circles_keep_the_node_budget(name, method):
+    # eight circles clear of each other and of the cut converge in the
+    # first pass of 32 nodes per circle and its mirror; the widest fitting
+    # margin took seven circles at 64 nodes, 832 nodes in all
+    A = _grid_plant()
+    trapezoid, solved = qcalc._trapezoid, []
+
+    def counted(contour, h, at_nodes, size, nodes=32):
+        def at(z):
+            solved.append(len(z))
+            return at_nodes(z)
+        return trapezoid(contour, h, at, size, nodes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcalc, "_trapezoid", counted)
+        calculus_sided(A, catalog(name), method=method)
+    assert sum(solved) <= 512, solved
 
 
 def _per_node_s_contour_value(A, h, contour):
@@ -1280,12 +1385,21 @@ def _disk_in_domain_by_point(center, radius, domain):
 def test_disk_in_domain_matches_point_by_point_reference(name):
     domain = catalog(name).domain
     gen = rng(197)
-    verdicts = Counter()
+    centers, radii, wants = [], [], []
     for _ in range(200):
         center = complex(*gen.uniform(-3.0, 3.0, 2))
         radius = float(gen.uniform(0.01, 2.5))
         want = _disk_in_domain_by_point(center, radius, domain)
-        assert domain.holds_disk(center, radius) == want
-        verdicts[want] += 1
+        assert domain.holds_disk(center, radius) is want
+        centers.append(center)
+        radii.append(radius)
+        wants.append(want)
+    centers, radii = np.array(centers), np.array(radii)
+    # all disks at once, in any shape, give the same verdicts
+    assert domain.holds_disk(centers, radii).tolist() == wants
+    assert domain.holds_disk(centers.reshape(8, 25), radii.reshape(8, 25)).tolist() == \
+        np.reshape(wants, (8, 25)).tolist()
+    assert domain.holds_disk(centers[:0], radii[:0]).shape == (0,)
+    verdicts = Counter(wants)
     assert verdicts[True] > 0
     assert name == "exp" or verdicts[False] > 0

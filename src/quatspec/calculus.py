@@ -13,10 +13,11 @@ A itself against f along the same contour,
 
 with ds_i the contour differential rotated by -i, so agreement of the
 two routes is a genuine cross-check rather than a restatement.  Both
-routes feed one nested trapezoid loop (_trapezoid), which returns a sum
-whose change from the level before is within QUAD_REL_TOL relative, or
-whose error, estimated from the geometric decay of those changes, is at
-most QUAD_RATE_SAFETY * QUAD_REL_TOL relative.
+routes feed one nested trapezoid loop (_trapezoid), which sums the
+nodes by rule and mirror side and returns a sum whose change from the
+rule before is within QUAD_REL_TOL relative, or whose error, estimated
+from the geometric decay of those changes, is at most QUAD_RATE_SAFETY *
+QUAD_REL_TOL relative.
 
 Contours are finite unions of disjoint, positively oriented circles in
 the slice plane, closed under conjugation, each centered near spectral
@@ -47,6 +48,7 @@ import numpy as np
 
 from .errors import (
     BranchCut,
+    DimensionMismatch,
     DomainTooTight,
     NoConvergence,
     NotIntrinsic,
@@ -339,12 +341,11 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     """(1/2pi i) integral of h(z) at_nodes(z) dz over the contour.
 
     Nested periodic trapezoid rules T_N at a node count N per circle that
-    doubles.  The first pass solves the angles k/N, N = nodes (a multiple
-    of 4, at least 8), and reads T_(N/4) from every fourth of its nodes,
-    T_(N/2) from every second and T_N from all of them, so it makes no
-    more passes than a rule that checks only T_N against T_(N/2); each
-    later pass solves only the new odd angles (2k+1)/(2N),
-    added to the running sums that N divides, so every node is solved once.
+    doubles, so every node is solved once.  The first pass lays out the
+    angles k/N, N = nodes (a multiple of 4, at least 8): T_(N/4) at
+    k = 0 mod 4, T_(N/2) adding k = 2 mod 4 and T_N the odd k, so it makes
+    no more passes than a rule that checks only T_N against T_(N/2).
+    Each later pass lays out the new odd angles (2k+1)/(2N) of T_(2N).
     The contour's circles are its upper half, and a pass lays their nodes
     out in mirror pairs: each node of a circle above the axis, or of the
     upper half of a circle centred on it, is followed by its exact
@@ -354,32 +355,37 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
     rounded down but at least 2, size being the order of the solved
     matrices, so no chunk splits a pair and at_nodes can solve a pencil
     once per sphere.
+    A node's cell is 2r + m, r the rule of the pass it first belongs to
+    and m = 1 for the conjugate copy of a node above the axis, else 0.
+    Each chunk adds h dz at_nodes into one sum per cell, in place.  Cells
+    0 and 1 carry the (rest, mirror) sums of the passes before, so a
+    cumulative sum over r gives each rule its sums, T_N = (rest + mirror)
+    / N, and one stop loop checks the rules of every pass in order of N.
     at_nodes maps a chunk to one array per node, h to one value per node
     or, with a leading axis of p, p values per node.  Norms are Frobenius
     norms of the whole sum.  With t = QUAD_REL_TOL (1 + ||T_N||), T_N is
-    returned at the first level where ||T_N - T_(N/2)|| <= t, or where
-    the geometric decay of the periodic rule certifies it: with d_N the
-    change of the sum over the mirror circles plus the change of the rest,
-    d_N < d_(N/2) and d_N^3 / d_(N/2)^2, the estimated error of T_N, is at
-    most QUAD_RATE_SAFETY t.  A circle and its mirror see a singularity
-    of h on the axis at conjugate phases, so their errors can cancel at
-    one level and not at the next; d_N does not see that cancellation.
-    A sum that is not finite raises NoConvergence, and no return below
-    NODE_CAP nodes per circle QuadratureStalled.
+    returned at the first rule where ||T_N - T_(N/2)|| <= t, or where the
+    geometric decay of the periodic rule certifies it: with d_N the change
+    of mirror / N plus the change of rest / N, d_N < d_(N/2) and
+    d_N^3 / d_(N/2)^2, the estimated error of T_N, is at most
+    QUAD_RATE_SAFETY t.  A circle and its mirror see a singularity of h
+    on the axis at conjugate phases, so their errors can cancel at one
+    level and not at the next; d_N does not see that cancellation.
+    An empty contour raises ValueError, a sum that is not finite
+    NoConvergence, and no return below NODE_CAP nodes per circle
+    QuadratureStalled.
     """
     if nodes < 8 or nodes % 4:
         raise ValueError(f"the first pass needs a multiple of 4 nodes, at least 8, got {nodes}")
-    centers = np.array([c.center for c in contour.circles], dtype=complex)[:, None]
-    radii = np.array([c.radius for c in contour.circles])[:, None]
+    if not contour.circles:
+        raise ValueError("the contour has no circle to integrate over")
+    centers, radii = (a[:, None] for a in _disks(contour.circles))
     upper = centers.imag > 0.0
     chunk = max(2, _BATCH_ENTRIES // (size * size) // 2 * 2)
-    count = nodes
-    angles = np.arange(count) / count
-    # the first pass also sums every fourth and every second of its nodes,
-    # the rules of count/4 and count/2 nodes
-    coarse = [np.arange(count) % 4 == 0, np.arange(count) % 2 == 0]
-    sums = []  # over all nodes so far, over their mirror nodes, then a pass's own
-    total = mirrored = delta = None
+    k = np.arange(nodes)
+    angles, rule = k / nodes, np.where(k % 2, 2, k % 4 // 2)
+    count, level = nodes, nodes // 4  # nodes of the pass's last rule, of the next checked
+    sums = total = mirrored = delta = None
     while count <= NODE_CAP:
         dz = radii * np.exp(2j * np.pi * angles)
         paired = upper | ((0.0 < angles) & (angles < 0.5))
@@ -390,31 +396,21 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
             v = np.broadcast_to(v, paired.shape)
             return np.concatenate([_with_mirrors(v[paired]), v[real].real])
 
-        z, dz = lay(centers + dz), lay(dz)
-        # the weights of the sums a pass adds to: all nodes and the mirror
-        # nodes, then in the first pass each coarse rule and its mirrors
-        mirror = np.zeros(z.size)
-        mirror[1:2 * paired.sum():2] = np.broadcast_to(upper, paired.shape)[paired]
-        weights = [None, mirror]
-        for picked in coarse:
-            picked = lay(picked.astype(float)).real
-            weights += [picked, picked * mirror]
+        z, dz, cell = lay(centers + dz), lay(dz), lay(2.0 * rule).real
+        cell[1:2 * paired.sum():2] += np.broadcast_to(upper, paired.shape)[paired]
         for lo in range(0, z.size, chunk):
             part = slice(lo, lo + chunk)
             fv = np.asarray(h(z[part])) * dz[part]
             solved = at_nodes(z[part])
-            for k, w in enumerate(weights):
-                term = np.tensordot(fv if w is None else fv * w[part], solved, 1)
-                if k < len(sums):
-                    sums[k] += term  # in place: one copy of each sum is held
-                else:
-                    sums.append(term)
-            del solved, term  # one chunk of solutions held at a time
-        levels = [(sums.pop(2), sums.pop(2), count >> len(coarse) - k)
-                  for k in range(len(coarse))] + [(sums[0], sums[1], count)]
-        while levels:  # popped, so no sum of a finished level stays held
-            level_sum, mirror_sum, level = levels.pop(0)
-            level_total, level_mirrored = level_sum / level, mirror_sum / level
+            if sums is None:  # one slot per cell of the first pass
+                sums = np.zeros((2 * rule.max() + 2, *fv.shape[:-1], *solved.shape[1:]), complex)
+            for c, into in enumerate(sums):  # in place, one cell's term at a time
+                into += np.tensordot(fv * (cell[part] == c), solved, 1)
+            del solved  # one chunk of solutions held at a time
+        rules = sums.reshape(-1, 2, *sums.shape[1:])  # (rest, mirror) per rule
+        np.cumsum(rules, axis=0, out=rules)
+        for rest, mirror in rules:
+            level_total, level_mirrored = (rest + mirror) / level, mirror / level
             if not np.isfinite(level_total).all():
                 raise NoConvergence(f"quadrature sum is not finite at {level} nodes per circle")
             if total is not None:
@@ -428,7 +424,8 @@ def _trapezoid(contour: SliceContour, h: Callable, at_nodes: Callable,
                     return level_total
                 delta = step
             total, mirrored = level_total, level_mirrored
-        coarse = []
+            level *= 2
+        sums, rule = rules[-1], np.zeros(count, int)  # the next pass adds to T_N's sums
         angles = (2 * np.arange(count) + 1) / (2 * count)
         count *= 2
     raise QuadratureStalled(f"no convergence below {NODE_CAP} nodes per circle")
@@ -450,17 +447,14 @@ def riesz_dunford(M: np.ndarray, h: Callable, contour: SliceContour,
                   nodes: int = 32) -> np.ndarray:
     """(1/2pi i) integral of h(z) (z I - M)^-1 dz over the contour.
 
-    Nested periodic trapezoid sums, all circles at a shared node count
-    that doubles from the first pass of nodes per circle (a multiple of
-    4, at least 8) until two levels agree to QUAD_REL_TOL relative, or the geometric
-    decay of their changes puts the estimated error of the sum at most
-    QUAD_RATE_SAFETY QUAD_REL_TOL relative (see _trapezoid).  Each level
-    solves only its new nodes, all circles together in bounded chunks,
-    and the cap of 2^16 nodes per circle raises QuadratureStalled.
-    h maps a node array to its values, shape (p, nodes) for a stack of p
-    matrices.
+    The quadrature, its first pass of nodes per circle and its stop rule
+    are those of _trapezoid.  h maps a node array to its values, shape
+    (p, nodes) for a stack of p matrices.  An M that is not a square
+    matrix raises DimensionMismatch.
     """
     M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"M must be a square matrix, got shape {M.shape}")
     n = M.shape[0]
 
     def resolvents(z: np.ndarray) -> np.ndarray:
@@ -518,6 +512,8 @@ def calculus_sided(A: QMatrix, f: StemFunction,
     S-resolvent of A.  The pieces recombine with 1, i, j, k: on the left
     for a right function, else on the right.
     """
+    if method not in ("complex_path", "s_contour"):
+        raise ValueError(f"unknown method {method!r}")
     lam = A.chi_eigenvalues
     outside = lam[~f.domain.contains(lam.real, lam.imag)]
     if outside.size:
@@ -528,10 +524,8 @@ def calculus_sided(A: QMatrix, f: StemFunction,
     if method == "complex_path":
         stack = riesz_dunford(complex_adjoint(A), h, contour)
         parts = [from_complex_adjoint(B) for B in stack]
-    elif method == "s_contour":
-        parts = _s_contour_value(A, h, contour)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        parts = _s_contour_value(A, h, contour)
     side = QMatrix.scalar_left if f.kind == RIGHT else QMatrix.scalar_right
     return sum(map(side, parts, (ONE, I, J, K)), QMatrix.zeros(A.n))
 

@@ -13,6 +13,7 @@ import quatspec.calculus as qcalc
 from quatspec import (
     BranchCut,
     Circle,
+    DimensionMismatch,
     DomainTooTight,
     I,
     J,
@@ -442,6 +443,25 @@ def test_riesz_dunford_stalls_on_near_pole(route):
         ROUTES[route](A, lambda z: 1.0 / (z - pole), contour)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_riesz_dunford_refuses_a_matrix_that_is_not_square(shape):
+    contour = SliceContour((Circle(0j, 1.0),))
+    with pytest.raises(DimensionMismatch, match="square"):
+        riesz_dunford(np.ones(shape), np.exp, contour)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("built", [False, True])
+def test_an_empty_contour_is_refused_before_any_solve(monkeypatch, route, built):
+    # build_contour about no points returns the empty contour
+    contour = build_contour([], entire_domain(), 0.3) if built else SliceContour(())
+    assert contour.circles == ()
+    stacks = _record_quadrature(monkeypatch)
+    with pytest.raises(ValueError, match="no circle"):
+        ROUTES[route](QMatrix.diag([1.0, 2.0]), np.exp, contour)
+    assert stacks == []
+
+
 def test_riesz_dunford_node_count_independent():
     gen = rng(107)
     M = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
@@ -658,6 +678,52 @@ def test_mirror_pairs_share_a_chunk_at_an_odd_bound(monkeypatch):
     count = _final_node_count(contour, z)
     assert sum(stacks) == _solves("s_contour", contour, count) == _spheres(z)
     assert max(stacks) == 3
+
+
+def _monomial_case(powers, above):
+    """The sum of (z - c)^m over the powers, on one circle (c, r).
+
+    Its N-node rule has a closed form: (z - c)^m contributes r^(m+1) when
+    N divides m + 1, else 0.  Below the axis h reads z - conj(c), so on a
+    circle above it the mirror circle adds the same sum.
+    """
+    c, r = (0.25 + 2.0j if above else 0.25 + 0j), 0.5
+
+    def h(z):
+        w = np.where(z.imag < 0.0, z - np.conj(c), z - c)
+        return sum(w ** p for p in powers)
+    return SliceContour((Circle(c, r),)), h, r
+
+
+# (powers m, circle above the axis) -> the sum returned and the nodes h
+# sees: the first pass of 32 nodes per circle reads T_8, T_16 and T_32,
+# and a second pass adds the 32 odd nodes of T_64
+ALIASING_CASES = {
+    "m=15": (((15,), False), lambda r: r ** 16, 32),
+    "m=7": (((7,), False), lambda r: 0.0, 32),
+    "m=7+15": (((7, 15), False), lambda r: 0.0, 64),
+    "m=15 with mirror": (((15,), True), lambda r: 2.0 * r ** 16, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIASING_CASES))
+def test_trapezoid_returns_the_rule_the_stop_tests_pick(case):
+    # m = 15: T_8 = T_16 = r^16 agree, so T_16 returns before T_32 = 0;
+    # m = 7: T_8 = r^8, then T_16 = T_32 = 0 agree; m = 7 + 15: T_8, T_16
+    # and T_32 all differ and the rate rule does not hold, so T_64 = 0
+    # returns after a second pass; above the axis the mirror doubles r^16
+    (powers, above), want, seen_nodes = ALIASING_CASES[case]
+    contour, h, r = _monomial_case(powers, above)
+    seen = []
+
+    def recorded(z):
+        seen.append(z.size)
+        return h(z)
+
+    got = qcalc._trapezoid(contour, recorded, lambda z: np.ones((z.size, 1)), 1)
+    assert got.shape == (1,)
+    assert abs(got[0] - want(r)) <= 1e-14
+    assert sum(seen) == seen_nodes
 
 
 # ---------------------------------------------------------------- stop rule
@@ -1348,6 +1414,14 @@ def test_polynomial_suite_control_case():
     assert control, "control case missing"
     assert control[0] <= 1e-10
     assert report.passed
+
+
+@pytest.mark.parametrize("calculus", [calculus_sided, calculus_intrinsic])
+def test_an_unknown_method_is_refused_before_the_eigen_solve(calculus):
+    # the spectral sphere (-1, 0) lies outside log's domain: a method
+    # checked after the eigen-solve would raise DomainTooTight
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        calculus(QMatrix.diag([-1.0]), catalog("log"), method="bogus")
 
 
 def test_suite_rejects_unknown_name():

@@ -307,7 +307,10 @@ def auto_contour(points, domain: AxSymDomain) -> SliceContour:
     above the merge tolerance, so build_contour keeps the same seeds on
     every rung.  The top rung is tested alone, then the other placed
     rungs together, then the rest, each group with one holds_disk call.
+    No point at all raises ValueError.
     """
+    if not np.size(points):
+        raise ValueError("auto_contour needs at least one point to enclose")
     kept = _kept_seeds(points)
     scale = 1.0 + float(np.abs(points).max())
     margins = list(itertools.accumulate(itertools.repeat(0.6, 23), operator.mul,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .operators import (
     QMatrix,
-    _join,
+    _embed,
     _product,
     _row_times,
     _split,
@@ -64,7 +64,7 @@ CLASSIFY_REL_TOL = 1e-10
 
 EIG_RESIDUAL_TOL = 1e-8  # eigen-residual bound relative to ||M||_F
 CLUSTER_REL_TOL = 1e-8  # default clustering radius over 1 + ||A||_F
-SERIES_TOL = 1e-12  # relative size of the last two series terms
+SERIES_TOL = 1e-12  # relative size of the last two doubling blocks of a series
 CROSS_CHECK_TOL = 1e-6  # relative gap between the two distances
 SERIES_TERM_CAP = 10 ** 6
 
@@ -257,84 +257,150 @@ def s_spectral_radius(A: QMatrix, method: str = "eig") -> float:
     raise NoConvergence("power estimate did not settle within 60 doublings")
 
 
-def _neumann_terms(q: Quaternion):
-    """Yield a_0, a_1, ... through a_n = (a_(n-1) + q^(-n-1)) conj(q)^-1.
-
-    The recursion is exact: splitting the k = n term off the defining
-    sum leaves a_(n-1) times conj(q)^-1, so each coefficient costs two
-    Hamilton products instead of n + 1.  They are taken in the split
-    layout on plain complex numbers, and each a_n is yielded as its
-    split pair (x, y), the quaternion x + j y.
-    """
-    ix, iy = _split(q.inverse())
-    bx, by = _split(q.conjugate().inverse())
-    px, py = ix, iy
-    ax = ay = 0j
-    while True:
-        ax, ay = _product(ax + px, ay + py, bx, by, operator.mul)
-        yield ax, ay
-        px, py = _product(px, py, ix, iy, operator.mul)
-
-
 def neumann_coefficients(q: Quaternion, count: int) -> list[Quaternion]:
     """Coefficients a_n = sum_k q^(-k-1) conj(q)^(-n+k-1), n < count.
 
-    Computed by the exact recursion of _neumann_terms; each a_n is real
-    up to roundoff, which callers may verify through its imaginary
-    components.
+    They are the real Taylor coefficients of 1 / (x^2 - 2 Re(q) x + |q|^2),
+    so a_0 = |q|^-2 and a_n = (2 Re(q) a_(n-1) - a_(n-2)) / |q|^2, with
+    |q|^-2 taken from q.inverse() (ZeroDivisor at q = 0).
     """
-    return [_join(x, y) for x, y in itertools.islice(_neumann_terms(q), count)]
+    inv_sq = q.inverse().norm_sq()
+    out, prev, a = [], 0.0, inv_sq
+    for _ in range(count):
+        out.append(Quaternion(a))
+        prev, a = a, (2.0 * q.real * a - prev) * inv_sq
+    return out
 
 
 def _frobenius(M: np.ndarray) -> float:
     return math.sqrt(np.vdot(M, M).real)
 
 
-def _power_series(A: QMatrix, coefficients, side: str | None = None,
-                  tol: float = SERIES_TOL, scale: float = 1.0) -> QMatrix:
-    """Sum of scale A^n c_n over c_0, c_1, ..., for A at unit scale.
+def _power_series(A: QMatrix, coefficients, tol: float = SERIES_TOL) -> QMatrix:
+    """Sum of A^n c_n over real c_0, c_1, ..., one term per step.
 
-    The one series loop.  It carries scale A^n as the first block row
-    [x_n, -conj(y_n)] of chi(scale A^n), an n x 2n complex array that one
+    The Taylor loop of op_exp, whose coefficients have no product rule
+    for _doubling.  It carries A^n as the first block row
+    [x_n, -conj(y_n)] of chi(A^n), an n x 2n complex array that one
     product with chi(A) advances, and keeps the sum in the same layout;
-    a row's Frobenius norm is that of its matrix.  Real c_n scale the
-    row.  With side "left" or "right" each c_n is a split pair (x, y),
-    the quaternion x + j y, multiplied on that side of the power.  The
-    loop stops once two consecutive terms are within
-    tol * (scale + ||sum||) together, and raises NoConvergence at the
-    first non-finite term or at SERIES_TERM_CAP terms.
+    a row's Frobenius norm is that of its matrix.  The loop stops once
+    two consecutive terms are within tol * (1 + ||sum||) together, and
+    raises NoConvergence at the first non-finite term or at
+    SERIES_TERM_CAP terms.
     """
     n = A.n
     step = complex_adjoint(A)
     total = np.zeros((n, 2 * n), dtype=complex)
     last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        row = np.eye(n, 2 * n, dtype=complex) * scale
+        row = np.eye(n, 2 * n, dtype=complex)
         for k, c in enumerate(itertools.islice(coefficients, SERIES_TERM_CAP)):
-            term = c * row if side is None else _row_times(row, *c, side)
+            term = c * row
             total += term
             size = _frobenius(term)
             if not math.isfinite(size):
                 raise NoConvergence(f"series term {k} is not finite")
-            if last + size <= tol * (scale + _frobenius(total)):
+            if last + size <= tol * (1.0 + _frobenius(total)):
                 return QMatrix(total[:, :n], -total[:, n:].conjugate())
             last = size
             row = row @ step
     raise NoConvergence("series hit the term cap")
 
 
+def _chi(row: np.ndarray) -> np.ndarray:
+    """chi(X) rebuilt from its first block row [x, -conj(y)]."""
+    n = row.shape[0]
+    return _embed(row[:, :n], -row[:, n:].conjugate())
+
+
+def _doubling(sums, scale: float) -> QMatrix:
+    """scale times the sum of a series from its partial sums S_1, S_2, S_4, ...
+
+    sums yields each S_N as the first block row of chi(S_N), at unit
+    scale, one matrix product per level, so N terms cost about log2 N
+    products.  The loop stops once the last two blocks, S_N - S_(N/2)
+    and S_2N - S_N, are within SERIES_TOL * (1 + ||S_2N||) together.
+    Where the terms shrink like r^n, the tail after S_2N is about r^N
+    times the last block, far below either block at the stop.  A block that is not finite, a level that would pass
+    SERIES_TERM_CAP terms and a scaled sum that is not finite raise
+    NoConvergence.
+    """
+    last = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, terms = next(sums), 1
+        while 2 * terms <= SERIES_TERM_CAP:
+            partial = next(sums)
+            size = _frobenius(partial - total)
+            if not math.isfinite(size):
+                raise NoConvergence(
+                    f"series block of terms {terms} to {2 * terms - 1} is not finite")
+            total, terms = partial, 2 * terms
+            if last + size <= SERIES_TOL * (1.0 + _frobenius(total)):
+                total = total * scale
+                if not np.isfinite(total).all():
+                    raise NoConvergence(f"the series sum times {scale:.6g} overflows")
+                n = total.shape[0]
+                return QMatrix(total[:, :n], -total[:, n:].conjugate())
+            last = size
+    raise NoConvergence("series hit the term cap")
+
+
+def _neumann_sums(A: QMatrix, c: float):
+    """Rows of S_N = sum_(n<N) U_n(c) A^n for N = 1, 2, 4, ...
+
+    U_n are the Chebyshev polynomials of the second kind.  With
+    T_N = sum_(n<N) U_(n-1) A^n and P_N = A^N, the rule
+    U_(m+n) = U_m U_n - U_(m-1) U_(n-1) doubles both sums:
+
+        S_2N = S_N + (U_N S_N - U_(N-1) T_N) P_N,
+        T_2N = T_N + (U_(N-1) S_N - U_(N-2) T_N) P_N.
+
+    S_N and T_N are real polynomials in A, so P_N commutes with them and
+    one product of the three stacked rows with chi(P_N) gives both
+    blocks and P_2N.  The same rule doubles the three U values.
+    """
+    n = A.n
+    S = np.eye(n, 2 * n, dtype=complex)
+    T = np.zeros_like(S)
+    P = complex_adjoint(A)[:n]
+    u = (2.0 * c, 1.0, 0.0)  # U_N, U_(N-1), U_(N-2) at N = 1
+    while True:
+        yield S
+        uN, u1, u2 = u
+        stack = np.concatenate((uN * S - u1 * T, u1 * S - u2 * T, P)) @ _chi(P)
+        S, T, P = S + stack[:n], T + stack[n:2 * n], stack[2 * n:]
+        u = (uN * uN - u1 * u1, uN * u1 - u1 * u2, u1 * u1 - u2 * u2)
+
+
+def _resolvent_sums(A: QMatrix, sigma, side: str):
+    """Rows of S_N = sum_(n<N) A^n sigma^(n+1) (side L) or
+    sum_(n<N) sigma^(n+1) A^n (side R) for N = 1, 2, 4, ...
+
+    sigma is a split pair.  Right scalars associate, so with P_N = A^N
+    the next block is P_N S_N sigma^N on side L, one product of P_N's
+    row with [chi(S_N) | chi(P_N)], and sigma^N S_N P_N on side R, one
+    product of the stacked rows of S_N and P_N with chi(P_N).  Each
+    product also gives P_2N, and sigma^N is squared once per level.
+    """
+    n = A.n
+    edge = "right" if side == "L" else "left"
+    S = _row_times(np.eye(n, 2 * n, dtype=complex), *sigma, edge)
+    P = complex_adjoint(A)[:n]
+    while True:
+        yield S
+        if side == "L":
+            stack = P @ np.concatenate((_chi(S), _chi(P)), axis=1)
+            block, P = stack[:, :2 * n], stack[:, 2 * n:]
+        else:
+            stack = np.concatenate((S, P)) @ _chi(P)
+            block, P = stack[:n], stack[n:]
+        S = S + _row_times(block, *sigma, edge)
+        sigma = _product(*sigma, *sigma, operator.mul)
+
+
 def _past_cap(rate: float) -> bool:
     """Whether terms shrinking like rate^n need more than SERIES_TERM_CAP."""
     return rate > 0.0 and math.log(rate) * SERIES_TERM_CAP > math.log(SERIES_TOL)
-
-
-def _real_parts(coefficients):
-    """Real parts of split pairs (x, y), each checked real to 1e-12 relative."""
-    for x, y in coefficients:
-        size = math.hypot(x.real, x.imag, y.real, y.imag)
-        if max(abs(x.imag), abs(y.real), abs(y.imag)) > 1e-12 * (1.0 + size):
-            raise NoConvergence("series coefficient lost realness")
-        yield x.real
 
 
 def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
@@ -344,9 +410,8 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
         raise SeriesDiverges(f"|q| = {rho:.6g} is inside the spectral radius {rad:.6g}")
     if _past_cap(rad / rho):
         raise NoConvergence(f"|q| / r_S = {rho / rad:.12g} would pass the term cap")
-    # Q_q(A)^-1 = rho^-2 Q_(q/rho)(A/rho)^-1
-    return _power_series(A * (1.0 / rho), _real_parts(_neumann_terms(q / rho)),
-                         scale=1.0 / rho / rho)
+    # Q_q(A)^-1 = rho^-2 sum_n U_n(c) (A / rho)^n with c = Re(q) / rho
+    return _doubling(_neumann_sums(A * (1.0 / rho), q.real / rho), 1.0 / rho / rho)
 
 
 def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
@@ -362,9 +427,11 @@ def q_pencil_inverse(A: QMatrix, q, method: str = "direct") -> QMatrix:
 
     "direct" inverts the complex adjoint and pulls the result back.
     "neumann" sums Q_q(A)^-1 = sum_n a_n A^n with the real coefficients
-    a_n, valid for |q| beyond the spectral radius, summed at unit scale
-    to SERIES_TOL relative, or refused up front past SERIES_TERM_CAP.
-    Singularity of the pencil raises Singular.
+    a_n, valid for |q| beyond the spectral radius, at unit scale by
+    doubling until two consecutive blocks are within SERIES_TOL relative,
+    or refuses up front past SERIES_TERM_CAP.  Its stop is an estimate:
+    r_S / |q| is the rate of the terms only asymptotically.  It never
+    solves chi(Q_q(A)).  Singularity of the pencil raises Singular.
     """
     q = as_quaternion(q)
     if method == "neumann":
@@ -382,8 +449,12 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     formula:  L(s) = -Q_s(A)^-1 (A - conj(s) I)
               R(s) = -(A - conj(s) I) Q_s(A)^-1
     series:   L(s) = sum A^n s^(-n-1),  R(s) = sum s^(-n-1) A^n,
-              valid for |s| > ||A||, summed at unit scale to SERIES_TOL
-              relative, or refused up front past SERIES_TERM_CAP.
+              valid for |s| > ||A||, summed at unit scale by doubling
+              until two consecutive blocks are within SERIES_TOL
+              relative, or refused up front past SERIES_TERM_CAP.  The
+              terms shrink at least like (||A|| / |s|)^n, so the tail
+              left after 2N terms is about (||A|| / |s|)^N times the
+              last block.
     """
     s = as_quaternion(s)
     if side not in ("L", "R"):
@@ -403,11 +474,8 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     if _past_cap(A.norm / rho) and _past_cap(s_spectral_radius(A, "eig") / rho):
         raise NoConvergence(f"|s| = {rho:.12g} is too near r_S: past the term cap")
     # L_A(s) = rho^-1 L_(A/rho)(s/rho), and R likewise
-    si = _split((s / rho).inverse())
-    powers = itertools.accumulate(itertools.repeat(si),
-                                  lambda p, c: _product(*p, *c, operator.mul))
-    return _power_series(A * (1.0 / rho), powers,
-                         "right" if side == "L" else "left", scale=1.0 / rho)
+    return _doubling(_resolvent_sums(A * (1.0 / rho), _split((s / rho).inverse()), side),
+                     1.0 / rho)
 
 
 class Classification(NamedTuple):

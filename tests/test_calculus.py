@@ -462,6 +462,12 @@ def test_an_empty_contour_is_refused_before_any_solve(monkeypatch, route, built)
     assert stacks == []
 
 
+@pytest.mark.parametrize("points", [np.array([], complex), []])
+def test_auto_contour_refuses_an_empty_point_set(points):
+    with pytest.raises(ValueError, match="at least one point"):
+        auto_contour(points, entire_domain())
+
+
 def test_riesz_dunford_node_count_independent():
     gen = rng(107)
     M = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))

@@ -470,6 +470,29 @@ def test_series_stop_at_the_first_non_finite_term():
         qspec._power_series(QMatrix.identity(2) * 0.5, coefficients)
 
 
+def test_doubling_raises_before_a_level_passes_the_term_cap(monkeypatch):
+    # with the up-front refusal out of the way, S_2 is summed and S_4
+    # would pass a cap of 3 terms
+    monkeypatch.setattr(qspec, "SERIES_TERM_CAP", 3)
+    monkeypatch.setattr(qspec, "_past_cap", lambda rate: False)
+    A = random_qmatrix(rng(61), 3)
+    q = Quaternion(0.6, 0.8) * (1.1 * s_spectral_radius(A, "eig"))
+    with pytest.raises(NoConvergence, match="term cap"):
+        q_pencil_inverse(A, q, "neumann")
+    for side in ("L", "R"):
+        with pytest.raises(NoConvergence, match="term cap"):
+            s_resolvent(A, Quaternion(0.6, 0.8) * (1.1 * A.norm), side, "series")
+
+
+def test_doubling_stops_at_the_first_non_finite_block():
+    # inf - inf in the block stays silent (RuntimeWarnings fail the suite)
+    row = np.eye(2, 4, dtype=complex)
+    sums = itertools.chain([row, 2 * row, np.full_like(row, math.inf)],
+                           itertools.repeat(row))
+    with pytest.raises(NoConvergence, match="block of terms 2 to 3 is not finite"):
+        qspec._doubling(sums, 1.0)
+
+
 def test_series_loop_raises_at_the_term_cap(monkeypatch):
     # A = I with c_n = 1: the terms never shrink
     monkeypatch.setattr(qspec, "SERIES_TERM_CAP", 50)
@@ -487,12 +510,23 @@ def test_series_answer_where_unscaled_powers_overflowed():
     series = q_pencil_inverse(A, q, "neumann")
     assert time.perf_counter() - start < 5.0
     direct = q_pencil_inverse(A, q, "direct")
-    assert (series - direct).norm <= 1e-10 * direct.norm
+    assert (series - direct).norm <= qspec.SERIES_TOL * direct.norm
     for side in ("L", "R"):
         start = time.perf_counter()
         got = s_resolvent(QMatrix.diag([100.0]), 102.0, side, "series")
         assert time.perf_counter() - start < 5.0
-        assert_quat_close(got.entry(0, 0), Quaternion(0.5), 1e-10)
+        assert_quat_close(got.entry(0, 0), Quaternion(0.5), 0.5 * qspec.SERIES_TOL)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("s", [102.0, 101.0, 100.5, 100.1])
+def test_resolvent_series_tail_within_the_stated_truncation(s, side):
+    # at rate 100 / s the tail after the last two small terms is about
+    # 1 / (1 - rate) times their size, 50 to 1000 times here; the stop
+    # on doubling blocks leaves a tail far below SERIES_TOL
+    got = s_resolvent(QMatrix.diag([100.0]), s, side, "series").entry(0, 0)
+    want = 1.0 / (s - 100.0)
+    assert_quat_close(got, Quaternion(want), qspec.SERIES_TOL * want)
 
 
 def _qmatrix_power_series(A, coefficients, times=QMatrix.__mul__,
@@ -522,10 +556,16 @@ def _quaternion_neumann_terms(q):
         power = power * qi
 
 
+# the references run far past SERIES_TOL, so they pin the sum itself and
+# not the point where a loop at SERIES_TOL happens to stop
+DEEP_TOL = 1e-18
+
+
 def _reference_neumann(A, q):
     rho = abs(q)
     coefficients = (a.a for a in _quaternion_neumann_terms(q / rho))
-    return _qmatrix_power_series(A * (1.0 / rho), coefficients, scale=1.0 / rho / rho)
+    return _qmatrix_power_series(A * (1.0 / rho), coefficients, tol=DEEP_TOL,
+                                 scale=1.0 / rho / rho)
 
 
 def _reference_resolvent_series(A, s, side):
@@ -533,7 +573,8 @@ def _reference_resolvent_series(A, s, side):
     powers = itertools.accumulate(itertools.repeat((s / rho).inverse()),
                                   Quaternion.__mul__)
     times = QMatrix.scalar_right if side == "L" else QMatrix.scalar_left
-    return _qmatrix_power_series(A * (1.0 / rho), powers, times, scale=1.0 / rho)
+    return _qmatrix_power_series(A * (1.0 / rho), powers, times, tol=DEEP_TOL,
+                                 scale=1.0 / rho)
 
 
 def _assert_relative(got, want, tol=1e-14):
@@ -583,32 +624,35 @@ def test_block_row_matches_the_qmatrix_loop_where_unscaled_powers_overflowed():
 
 
 def test_neumann_builds_as_many_qmatrices_near_the_radius_as_far_from_it(monkeypatch):
-    # the powers and the sum live in one block row of chi(A^n); only the
-    # rescaled input and the answer are QMatrix objects, whatever the
-    # number of terms
+    # the powers and the sums live in first block rows of chi; only the
+    # rescaled input and the answer are QMatrix objects, and each
+    # doubling level costs one product, so a series about 14 times
+    # longer costs about log2(14) more products
     A = random_qmatrix(rng(79), 6)
     rad = s_spectral_radius(A, "eig")
-    built, terms = [0], [0]
-    init, neumann_terms = QMatrix.__init__, qspec._neumann_terms
+    built, products = [0], [0]
+    init, neumann_sums = QMatrix.__init__, qspec._neumann_sums
 
     def counted_init(self, x, y):
         built[0] += 1
         init(self, x, y)
 
-    def counted_terms(q):
-        for a in neumann_terms(q):
-            terms[0] += 1
-            yield a
+    def counted_sums(A, c):
+        sums = neumann_sums(A, c)
+        yield next(sums)  # S_1 costs no product
+        for partial in sums:
+            products[0] += 1
+            yield partial
 
     monkeypatch.setattr(QMatrix, "__init__", counted_init)
-    monkeypatch.setattr(qspec, "_neumann_terms", counted_terms)
+    monkeypatch.setattr(qspec, "_neumann_sums", counted_sums)
     counts = {}
     for ratio in (1.05, 2.0):
-        built[0] = terms[0] = 0
+        built[0] = products[0] = 0
         q_pencil_inverse(A, Quaternion(0.6, 0.0, 0.8) * (ratio * rad), "neumann")
-        counts[ratio] = (built[0], terms[0])
+        counts[ratio] = (built[0], products[0])
     assert counts[1.05][0] == counts[2.0][0]
-    assert counts[1.05][1] > 5 * counts[2.0][1]
+    assert counts[2.0][1] < counts[1.05][1] <= counts[2.0][1] + 5, counts
 
 
 @pytest.mark.parametrize("unit", [2.0 * I, 2.0 * J,

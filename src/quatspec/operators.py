@@ -126,7 +126,11 @@ class QMatrix:
 
     @cached_property
     def chi_eigenvalues(self) -> np.ndarray:
-        """Certified eigenvalues of chi(A), sorted, read-only, solved once."""
+        """Eigenvalues of chi(A), sorted, read-only, solved once.
+
+        One eigenvector-free solve, certified by its power sums against
+        tr chi(A)^k, k = 1..4 (see spectrum.eigenvalues).
+        """
         from . import spectrum  # late: spectrum imports this module
 
         lam = spectrum.eigenvalues(complex_adjoint(self))

@@ -62,7 +62,7 @@ __all__ = [
 # representation, below which a point is declared spectral.
 CLASSIFY_REL_TOL = 1e-10
 
-EIG_RESIDUAL_TOL = 1e-8  # eigen-residual bound relative to ||M||_F
+EIG_RESIDUAL_TOL = 1e-8  # backward-error level of the eigen-solve, relative to ||M||_F
 CLUSTER_REL_TOL = 1e-8  # default clustering radius over 1 + ||A||_F
 SERIES_TOL = 1e-12  # relative size of the last two doubling blocks of a series
 CROSS_CHECK_TOL = 1e-6  # relative gap between the two distances
@@ -70,32 +70,32 @@ SERIES_TERM_CAP = 10 ** 6
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a complex matrix, residual checked.
+    """Eigenvalues of a complex matrix, certified by their power sums.
 
-    The backend solver is free; the contract is that every returned
-    lambda satisfies smin(lambda I - M) <= EIG_RESIDUAL_TOL * ||M||_F.  The
-    certificate is the eigenvector residual ||M v - lambda v|| / ||v||
-    of each computed pair: for any nonzero v it bounds
-    smin(lambda I - M) from above, so a residual within the bound proves
-    the contract without a singular value decomposition.  Backward
-    stability of the solver keeps it near eps * ||M||, defective
-    eigenvalues included.  Failure of either the solver or the check,
-    a non-finite residual among them, raises NoConvergence.
+    No eigenvectors are solved for.  With U = 2^-e M and mu = 2^-e lambda,
+    e the binary exponent of M's largest |entry| (0 for the zero matrix,
+    where only exact zeros pass), |sum mu^k - tr U^k| must stay within
+    k * EIG_RESIDUAL_TOL * ||U||_F^k for k = 1..4: the first-order reach
+    of a backward error of EIG_RESIDUAL_TOL * ||U||_F, well conditioned on
+    clusters, defective ones included.  It does not prove smin(lambda I -
+    M) <= EIG_RESIDUAL_TOL * ||M||_F for each lambda.  A failed solve, a
+    value that is not finite or a larger gap raises NoConvergence.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.ascontiguousarray(M, dtype=complex)
     try:
-        lam, V = np.linalg.eig(M)
+        lam = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    scale = float(np.linalg.norm(M))
-    residual = (np.linalg.norm(M @ V - V * lam, axis=0)
-                / np.linalg.norm(V, axis=0))
-    worst = float(residual.max(initial=0.0))
-    if not worst <= EIG_RESIDUAL_TOL * scale:
-        raise NoConvergence(f"eigenvalue residual {worst:.3e} exceeds "
-                            f"{EIG_RESIDUAL_TOL:.1e} * {scale:.3e}")
-    order = np.lexsort((lam.imag, lam.real))
-    return lam[order]
+    e, k = -math.frexp(np.abs(M).max(initial=0.0))[1], np.arange(1, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, mu = (np.ldexp(X.view(float), e).view(complex) for X in (M, lam))
+        U2 = U @ U
+        # tr U^3 and tr U^4 are the sums of U^2 o U^T and U^2 o (U^2)^T
+        traces = (U.trace(), U2.trace(), *np.einsum("ij,kji->k", U2, (U, U2)))
+        gap = abs((mu[:, None] ** k).sum(axis=0) - traces)
+    if not (gap <= EIG_RESIDUAL_TOL * k * _frobenius(U) ** k).all():
+        raise NoConvergence(f"eigenvalue power sums miss the traces by {gap.max():.3e}")
+    return lam[np.lexsort((lam.imag, lam.real))]
 
 
 @dataclass(frozen=True)
@@ -321,9 +321,9 @@ def _doubling(sums, scale: float) -> QMatrix:
     products.  The loop stops once the last two blocks, S_N - S_(N/2)
     and S_2N - S_N, are within SERIES_TOL * (1 + ||S_2N||) together.
     Where the terms shrink like r^n, the tail after S_2N is about r^N
-    times the last block, far below either block at the stop.  A block that is not finite, a level that would pass
-    SERIES_TERM_CAP terms and a scaled sum that is not finite raise
-    NoConvergence.
+    times the last block, far below either block at the stop.  A block
+    that is not finite, a level that would pass SERIES_TERM_CAP terms and
+    a scaled sum that is not finite raise NoConvergence.
     """
     last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,8 +399,26 @@ def _resolvent_sums(A: QMatrix, sigma, side: str):
 
 
 def _past_cap(rate: float) -> bool:
-    """Whether terms shrinking like rate^n need more than SERIES_TERM_CAP."""
-    return rate > 0.0 and math.log(rate) * SERIES_TERM_CAP > math.log(SERIES_TOL)
+    """Whether terms shrinking like rate^n, 0 <= rate < 1, pass _doubling's reach.
+
+    Its last level L, the largest power of two within SERIES_TERM_CAP,
+    returns only once the block of terms m = L/4 to L/2 is small against
+    the sum: about rate^m (1 + m (1 - rate)) <= SERIES_TOL where the
+    terms grow like n rate^n, as the Neumann terms at a real q do, and
+    less where they shrink like rate^n.  The rule asks the former, so it
+    refuses rates past about 1 - 31 / 2^17.
+    """
+    m = max(1, (1 << SERIES_TERM_CAP.bit_length()) >> 3)
+    return rate > 0.0 and (math.log(rate) * m + math.log1p(m * (1.0 - rate))
+                           > math.log(SERIES_TOL))
+
+
+def _reciprocal(rho: float, what: str) -> float:
+    """1 / rho, refused with NoConvergence where it overflows."""
+    inv = 1.0 / rho
+    if not math.isfinite(inv):
+        raise NoConvergence(f"1 / {what} = 1 / {rho:.6g} overflows")
+    return inv
 
 
 def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
@@ -411,7 +429,8 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
     if _past_cap(rad / rho):
         raise NoConvergence(f"|q| / r_S = {rho / rad:.12g} would pass the term cap")
     # Q_q(A)^-1 = rho^-2 sum_n U_n(c) (A / rho)^n with c = Re(q) / rho
-    return _doubling(_neumann_sums(A * (1.0 / rho), q.real / rho), 1.0 / rho / rho)
+    inv = _reciprocal(rho, "|q|")
+    return _doubling(_neumann_sums(A * inv, q.real / rho), inv / rho)
 
 
 def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
@@ -474,8 +493,8 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
     if _past_cap(A.norm / rho) and _past_cap(s_spectral_radius(A, "eig") / rho):
         raise NoConvergence(f"|s| = {rho:.12g} is too near r_S: past the term cap")
     # L_A(s) = rho^-1 L_(A/rho)(s/rho), and R likewise
-    return _doubling(_resolvent_sums(A * (1.0 / rho), _split((s / rho).inverse()), side),
-                     1.0 / rho)
+    inv = _reciprocal(rho, "|s|")
+    return _doubling(_resolvent_sums(A * inv, _split((s / rho).inverse()), side), inv)
 
 
 class Classification(NamedTuple):

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quatspec.calculus as qcalc
 import quatspec.spectrum as qspec
@@ -23,6 +25,8 @@ from quatspec import (
     Singular,
     Sphere,
     SphereSet,
+    calculus_sided,
+    catalog,
     classify,
     complex_adjoint,
     delta,
@@ -30,6 +34,7 @@ from quatspec import (
     eigenvalues,
     left_mult_rep,
     neumann_coefficients,
+    op_log,
     q_pencil,
     q_pencil_inverse,
     quaternion_matrix_inverse,
@@ -114,13 +119,97 @@ def test_eigenvalues_unreachable_tolerance_raises(monkeypatch):
         eigenvalues(M)
 
 
+def test_eigenvalues_of_the_zero_matrix():
+    # frexp(0) leaves the scale at 1 and the bound at 0: exact zeros pass,
+    # anything else is refused
+    for n in (1, 4):
+        lam = eigenvalues(np.zeros((n, n)))
+        assert lam.shape == (n,) and not lam.any()
+    np.testing.assert_array_equal(eigenvalues(np.eye(3, k=1)), np.zeros(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", lambda M: np.full(len(M), 1e-300, dtype=complex))
+        with pytest.raises(NoConvergence, match="power sums"):
+            eigenvalues(np.zeros((2, 2)))
+
+
+_EIGVALS = np.linalg.eigvals
+
+
+def _moved_eigvals(M):
+    """eigvals with its largest eigenvalue moved by 1e-3 of itself."""
+    lam = _EIGVALS(M)
+    i = np.argmax(abs(lam))
+    lam[i] += 1e-3 * lam[i]
+    return lam
+
+
+def _nan_eigvals(M):
+    lam = _EIGVALS(M)
+    lam[0] = complex(math.nan, 0.0)
+    return lam
+
+
+def _multiset_gap(got, want) -> float:
+    """Largest distance under the pairing of each value with its nearest."""
+    d = abs(got[:, None] - want[None, :])
+    assert sorted(d.argmin(axis=1)) == list(range(len(want)))
+    return float(d.min(axis=1).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(700)
+@example(-700)
+def test_eigenvalues_scale_with_powers_of_two(k):
+    # at 2^+-700 ||M||_F reads inf or 0, so a bound relative to it proves
+    # nothing; the certificate scales by 2^-e first and holds at every k
+    M = complex_adjoint(random_qmatrix(rng(3), 6))
+    lam = eigenvalues(M)
+    scaled = M * math.ldexp(1.0, k)
+    got = eigenvalues(scaled)
+    want = lam * math.ldexp(1.0, k)
+    assert _multiset_gap(got, want) <= 1e-12 * abs(want).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", _moved_eigvals)
+        with pytest.raises(NoConvergence, match="power sums"):
+            eigenvalues(scaled)
+
+
+def _log_ready_matrix() -> QMatrix:
+    """A with its spectrum well inside Re > 0, so every reader answers."""
+    B = random_qmatrix(rng(171), 3)
+    return B + QMatrix.identity(3) * (B.norm * 1.2 + 0.5)
+
+
+_READERS = {
+    "s_spectrum": s_spectrum,
+    "radius": lambda A: s_spectral_radius(A, "eig"),
+    "distance": lambda A: distance_to_spectrum(A, 0.0),
+    "calculus complex_path": lambda A: calculus_sided(A, catalog("exp"), "complex_path"),
+    "calculus s_contour": lambda A: calculus_sided(A, catalog("exp"), "s_contour"),
+    "log": op_log,
+    "neumann": lambda A: q_pencil_inverse(A, Quaternion(0.6, 0.8) * (2.0 * A.norm),
+                                          "neumann"),
+}
+
+
+@pytest.mark.parametrize("solver", [_moved_eigvals, _nan_eigvals], ids=["moved", "nan"])
+@pytest.mark.parametrize("reader", list(_READERS), ids=list(_READERS))
+def test_every_reader_refuses_a_corrupted_eigen_solve(monkeypatch, reader, solver):
+    A = _log_ready_matrix()
+    _READERS[reader](QMatrix(A.x, A.y))  # answers on an honest solve
+    monkeypatch.setattr(np.linalg, "eigvals", solver)
+    with pytest.raises(NoConvergence, match="power sums"):
+        _READERS[reader](QMatrix(A.x, A.y))
+
+
 # --------------------------------------------------------- the eigen record
 
 def test_chi_eigenvalues_is_one_read_only_solve(monkeypatch):
     A = random_qmatrix(rng(23), 4)
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
     lam = A.chi_eigenvalues
     assert not lam.flags.writeable
     with pytest.raises(ValueError):
@@ -700,6 +789,42 @@ def test_hopeless_series_are_refused_up_front():
         with pytest.raises(NoConvergence):
             s_resolvent(QMatrix.diag([100.0]), 100.0 * (1.0 + 1e-7), side, "series")
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kind", ["L", "R", "neumann"])
+def test_series_near_the_radius_answer_or_are_refused_up_front(kind):
+    # _doubling returns at 2^19 terms at most, once the block of terms
+    # 2^17 to 2^18 is small; a rate it cannot reach is refused before any
+    # sum, never after 19 levels at the term cap.  At a real q the Neumann
+    # terms grow like n r^n, the slowest case.
+    A = QMatrix.diag([100.0])
+    outcomes = set()
+    for x in [*np.geomspace(1e-3, 5e-5, 40), 2e-4]:
+        s = 100.0 * (1.0 + x)
+        want = (s - 100.0) ** -2 if kind == "neumann" else 1.0 / (s - 100.0)
+        try:
+            got = (q_pencil_inverse(A, s, "neumann") if kind == "neumann"
+                   else s_resolvent(A, s, kind, "series")).entry(0, 0)
+        except NoConvergence as exc:
+            msg = str(exc)
+            assert "would pass the term cap" in msg or "past the term cap" in msg, msg
+            outcomes.add("refused")
+        else:
+            # the sum is conditioned like 1 / (1 - rate) per pole
+            assert_quat_close(got, Quaternion(want), 1e-9 * want)
+            outcomes.add("answered")
+    assert outcomes == {"answered", "refused"}
+
+
+@pytest.mark.parametrize("rho", [1e-310, 5e-324])
+def test_series_refuse_a_subnormal_point_before_scaling(rho):
+    # 1 / rho overflows, and A * inf would raise a RuntimeWarning from
+    # 0 * inf on the zero matrix (RuntimeWarnings fail the suite)
+    Z = QMatrix.zeros(1)
+    with pytest.raises(NoConvergence, match="overflows"):
+        s_resolvent(Z, Quaternion(0.0, rho), "L", "series")
+    with pytest.raises(NoConvergence, match="overflows"):
+        q_pencil_inverse(Z, Quaternion(0.0, rho), "neumann")
 
 
 def test_resolvent_series_refusal_spares_the_eigen_solve():

@@ -59,59 +59,43 @@ CUT_BUFFER = 1e-6
 class AxSymDomain:
     """Axially symmetric open set described in (alpha, beta) parameters.
 
-    contains_fn maps same-shape float arrays alpha and beta >= 0 to a
-    bool array; membership is invariant under beta -> |beta| by
-    construction.  box = (alpha_min, alpha_max, beta_max) bounds the
-    sampling region used by validation.  exclusions lists forbidden
-    half-plane disks ((alpha, beta), radius) that holds_disk avoids
-    exactly.
+    disk_fn maps same-shape arrays of complex centres alpha + beta i, on
+    or above the real axis, and of radii r >= 0 to a bool array: whether
+    each open disk lies in the set, r = 0 asking for the centre alone.
+    Every test is in closed form or, for a composition, through its
+    inner function (see stem_compose).  box = (alpha_min, alpha_max,
+    beta_max) bounds the sampling region used by validation.
     """
 
-    contains_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    disk_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: tuple[float, float, float]
-    exclusions: tuple[tuple[tuple[float, float], float], ...] = ()
 
     def contains(self, alpha, beta) -> np.ndarray:
-        return self.contains_fn(*np.broadcast_arrays(alpha, np.abs(beta)))
+        alpha, beta = np.broadcast_arrays(alpha, beta)
+        center = alpha.astype(complex)
+        center.imag = np.abs(beta)
+        return self.disk_fn(center, np.zeros(center.shape))
 
     def holds_disk(self, center, radius):
-        """Whether each disk lies in the domain, sampled at its center, on
-        five rings of 32 points and on its real-axis chord of 17 points,
-        the worst case for cuts; exclusion disks and their mirrors are kept
-        out exactly.  center and radius are scalars or arrays of one shape,
-        and all disks are sampled in one contains call: a bool array of one
-        verdict per disk, or a bool for scalars.
+        """Whether each disk lies in the domain: center and radius are
+        scalars or arrays of one shape, and a disk below the axis is read
+        as its mirror.  A bool array of one verdict per disk, or a bool
+        for a scalar center.
         """
-        center = np.asarray(center, dtype=complex)
-        shape = center.shape
-        center, radius = center.ravel(), np.asarray(radius, dtype=float).ravel()[:, None]
-        rings = center[:, None, None] + (radius * _RING_FRACS)[:, :, None] * _RING_TURN
-        a, b = center.real[:, None], center.imag[:, None]
-        crossing = np.abs(b) < radius
-        half = np.sqrt(np.where(crossing, radius * radius - b * b, 0.0))
-        # a disk off the axis samples its center again in place of a chord
-        chord = np.where(crossing, a - half + 2.0 * half * _CHORD, center[:, None])
-        z = np.concatenate([center[:, None], rings.reshape(-1, 160), chord], axis=1)
-        ok = self.contains_fn(z.real, np.abs(z.imag)).all(axis=1)
-        if self.exclusions:
-            spots = [(complex(ea, ebs), rad) for (ea, eb), rad in self.exclusions
-                     for ebs in (eb, -eb)]
-            at, rad = (np.array(v) for v in zip(*spots))
-            ok &= (np.abs(center[:, None] - at) >= radius + rad).all(axis=1)
-        return bool(ok[0]) if shape == () else ok.reshape(shape)
+        center = np.array(center, dtype=complex)
+        center.imag = np.abs(center.imag)
+        ok = self.disk_fn(center, np.broadcast_to(np.asarray(radius, dtype=float),
+                                                  center.shape))
+        return bool(ok) if center.shape == () else ok
 
 
-# the sample points of holds_disk: ring fractions of the radius, the 32
-# turns of each ring and the 17 steps along a chord in units of its
-# length; (2 half) (k / 16) is (2 half k) / 16 to the bit, as 1/16 scales
-# exactly
-_RING_FRACS = np.array([1.0, 0.85, 0.6, 0.35, 0.12])
+# the 32 turns of the circle on which stem_compose measures the image of
+# a disk
 _RING_TURN = np.exp(2j * np.pi * np.arange(32) / 32)
-_CHORD = np.arange(17) / 16
 
 
 def entire_domain(box=(-3.0, 3.0, 3.0)) -> AxSymDomain:
-    return AxSymDomain(lambda a, b: np.full(a.shape, True), box)
+    return AxSymDomain(lambda c, r: np.full(np.shape(c), True), box)
 
 
 def _cut_distance(alpha, beta):
@@ -121,8 +105,7 @@ def _cut_distance(alpha, beta):
 
 def cut_plane_domain(box=(-6.0, 6.0, 6.0)) -> AxSymDomain:
     """Everything except a buffered neighborhood of the ray (-inf, 0]."""
-    return AxSymDomain(lambda a, b: _cut_distance(a, b) > CUT_BUFFER, box,
-                       exclusions=(((0.0, 0.0), CUT_BUFFER),))
+    return AxSymDomain(lambda c, r: _cut_distance(c.real, c.imag) - CUT_BUFFER > r, box)
 
 
 @dataclass(frozen=True)
@@ -304,26 +287,33 @@ def stem_compose(g: StemFunction, f: StemFunction) -> StemFunction:
 
     f maps the sphere with parameters (alpha, beta) to the sphere with
     parameters of w = f0 + i f1 on the slice; g's parity-extended stems
-    are then read at w.  The result has g's kind.
+    are then read at w.  The result has g's kind.  A disk (c, r) lies in
+    the composed domain when f's domain holds it and g's domain holds the
+    disk about f(c) whose radius is the largest |f(z) - f(c)| over 32
+    points z of its circle: by the maximum modulus principle, that disk
+    holds f's image of the whole disk once the circle is sampled finely
+    enough.  f is read once per test, only where its domain holds the
+    disk, and at the centre alone where r = 0.
     """
     if f.kind != INTRINSIC:
         raise NotIntrinsic("composition requires an intrinsic inner function")
     fs = restrict_to_slice(f)
 
-    def inner(a, b):
-        w = fs(a + 1j * b)
-        return w.real, w.imag
-
     def pair(a, b):
-        return g.stems(*inner(a, b))
+        w = fs(a + 1j * b)
+        return g.stems(w.real, w.imag)
 
-    def dom_ok(a, b):
-        # f is read only where it is defined
-        ok = np.array(f.domain.contains(a, b))
-        ok[ok] = g.domain.contains(*inner(a[ok], b[ok]))
+    def disk_fn(center, radius):
+        ok = np.array(f.domain.disk_fn(center, radius))
+        c, r = center[ok], radius[ok]
+        ring = r > 0.0
+        w = fs(np.concatenate([c, (c[ring, None] + r[ring, None] * _RING_TURN).ravel()]))
+        wc, reach = w[:c.size], np.zeros(c.size)
+        reach[ring] = np.abs(w[c.size:].reshape(-1, 32) - wc[ring, None]).max(axis=1)
+        ok[ok] = g.domain.holds_disk(wc, reach)
         return ok
 
-    dom = AxSymDomain(dom_ok, f.domain.box, f.domain.exclusions)
+    dom = AxSymDomain(disk_fn, f.domain.box)
     return StemFunction(pair, dom, g.kind, _join_labels(g.label, "o", f.label))
 
 
@@ -340,8 +330,7 @@ def _join_kinds(k1: str, k2: str) -> str:
 def _intersect_domains(d1: AxSymDomain, d2: AxSymDomain) -> AxSymDomain:
     box = (max(d1.box[0], d2.box[0]), min(d1.box[1], d2.box[1]),
            min(d1.box[2], d2.box[2]))
-    return AxSymDomain(lambda a, b: d1.contains(a, b) & d2.contains(a, b),
-                       box, d1.exclusions + d2.exclusions)
+    return AxSymDomain(lambda c, r: d1.disk_fn(c, r) & d2.disk_fn(c, r), box)
 
 
 def _join_labels(l1, op, l2):
@@ -470,17 +459,18 @@ def _is_real_list(x, length: int | None = None) -> bool:
 
 
 def _punctured_domain(points) -> AxSymDomain:
-    """The box (-4, 4, 4) minus disks of radius CUT_BUFFER around points."""
-    excl = tuple(((float(p.real), abs(float(p.imag))), CUT_BUFFER)
-                 for p in points)
+    """The box (-4, 4, 4) minus disks of radius CUT_BUFFER around points.
 
-    def ok(a, b):
-        inside = np.full(a.shape, True)
-        for (ea, eb), rad in excl:
-            inside &= np.hypot(a - ea, b - eb) > rad
-        return inside
+    A centre on or above the axis is nearer to each hole above the axis
+    than to its mirror, so only the upper holes are measured.
+    """
+    holes = np.array([complex(p.real, abs(p.imag)) for p in points], dtype=complex)
 
-    return AxSymDomain(ok, (-4.0, 4.0, 4.0), excl)
+    def disk_fn(c, r):
+        gap = np.hypot(c.real[..., None] - holes.real, c.imag[..., None] - holes.imag)
+        return gap.min(axis=-1, initial=np.inf) - CUT_BUFFER > r
+
+    return AxSymDomain(disk_fn, (-4.0, 4.0, 4.0))
 
 
 def catalog(name: str) -> StemFunction:

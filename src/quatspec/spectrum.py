@@ -228,18 +228,24 @@ def s_spectral_radius(A: QMatrix, method: str = "eig") -> float:
 
     "eig" reads it off the eigenvalues of chi(A), A.chi_eigenvalues.
     "power" estimates lim ||A^N||^(1/N) by repeated squaring with
-    renormalization, halting when estimates agree to 1 percent.
+    renormalization, halting when estimates agree to 1 percent.  It runs
+    on 2^-e A, e the binary exponent of A's largest |entry|, and scales
+    the estimate back by 2^e, so no norm underflows or overflows on the
+    way; an estimate beyond the largest float raises NoConvergence.
     """
     if method == "eig":
         return float(max(abs(A.chi_eigenvalues)))
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
-    nrm = A.norm
+    e = math.frexp(max(np.abs(A.x).max(initial=0.0), np.abs(A.y).max(initial=0.0)))[1]
+    C = QMatrix(*(np.ldexp(np.ascontiguousarray(X).view(float), -e).view(complex)
+                  for X in (A.x, A.y)))
+    nrm = C.norm
     if not math.isfinite(nrm):
         raise NoConvergence(f"power estimate of a matrix of norm {nrm}")
     if nrm == 0.0:
         return 0.0
-    C = A * (1.0 / nrm)
+    C = C * (1.0 / nrm)
     log_gamma = math.log(nrm)
     est_prev = None
     for m in range(1, 61):
@@ -252,7 +258,10 @@ def s_spectral_radius(A: QMatrix, method: str = "eig") -> float:
         est = math.exp(log_gamma / (1 << m))
         if est_prev is not None and m >= 3:
             if abs(est - est_prev) <= 0.01 * max(est, 1e-300):
-                return est
+                try:
+                    return math.ldexp(est, e)
+                except OverflowError:
+                    raise NoConvergence(f"power estimate {est:.6g} * 2^{e} overflows") from None
         est_prev = est
     raise NoConvergence("power estimate did not settle within 60 doublings")
 

@@ -49,13 +49,14 @@ from quatspec import (
     riesz_dunford,
     s_spectrum,
     sphere_of,
+    stem_compose,
     stem_sum,
     verify_theorems,
 )
 
 from quatspec.calculus import _s_contour_value
 from quatspec.operators import _pull_back
-from quatspec.slicefn import INTRINSIC, RIGHT
+from quatspec.slicefn import CUT_BUFFER, INTRINSIC, RIGHT
 from test_spectrum import _planted_jordan
 
 from _helpers import (
@@ -1437,31 +1438,24 @@ def test_suite_rejects_unknown_name():
 
 # ---------------------------------------------------------------- disk test
 
-def _disk_in_domain_by_point(center, radius, domain):
-    """The disk test read one point at a time, as a reference."""
-    if not domain.contains(center.real, center.imag):
-        return False
-    for frac in (1.0, 0.85, 0.6, 0.35, 0.12):
-        for k in range(32):
-            z = center + radius * frac * cmath.exp(2j * math.pi * k / 32)
-            if not domain.contains(z.real, z.imag):
-                return False
-    b = center.imag
-    if abs(b) < radius:
-        half = math.sqrt(radius * radius - b * b)
-        for t in range(17):
-            a = center.real - half + 2.0 * half * t / 16
-            if not domain.contains(a, 0.0):
-                return False
-    for (ea, eb), rad in domain.exclusions:
-        for ebs in (eb, -eb):
-            if abs(center - complex(ea, ebs)) < radius + rad:
-                return False
-    return True
+# whether each tested catalog domain leaves out the cut (-inf, 0], and
+# the poles it punctures
+DISK_TEST_DOMAINS = {"exp": (False, ()), "log": (True, ()), "pow:-1": (False, (0.0,)),
+                     "ratpoly:[1, 0, 1]/[2, 1]": (False, (-2.0,))}
 
 
-@pytest.mark.parametrize("name", ["exp", "log", "pow:-1",
-                                  "ratpoly:[1, 0, 1]/[2, 1]"])
+def _disk_in_domain_by_point(center, radius, cut, poles):
+    """The disk test for one disk in closed form, as a reference: the
+    centre's distances to the cut and to each pole, less the buffer, must
+    exceed the radius."""
+    a, b = center.real, abs(center.imag)
+    gaps = [math.hypot(a - p.real, b - abs(p.imag)) for p in poles]
+    if cut:
+        gaps.append(b if a <= 0.0 else math.hypot(a, b))
+    return all(gap - CUT_BUFFER > radius for gap in gaps)
+
+
+@pytest.mark.parametrize("name", DISK_TEST_DOMAINS)
 def test_disk_in_domain_matches_point_by_point_reference(name):
     domain = catalog(name).domain
     gen = rng(197)
@@ -1469,7 +1463,7 @@ def test_disk_in_domain_matches_point_by_point_reference(name):
     for _ in range(200):
         center = complex(*gen.uniform(-3.0, 3.0, 2))
         radius = float(gen.uniform(0.01, 2.5))
-        want = _disk_in_domain_by_point(center, radius, domain)
+        want = _disk_in_domain_by_point(center, radius, *DISK_TEST_DOMAINS[name])
         assert domain.holds_disk(center, radius) is want
         centers.append(center)
         radii.append(radius)
@@ -1483,3 +1477,33 @@ def test_disk_in_domain_matches_point_by_point_reference(name):
     verdicts = Counter(wants)
     assert verdicts[True] > 0
     assert name == "exp" or verdicts[False] > 0
+
+
+def test_a_composed_domain_refuses_a_disk_about_a_pole_of_the_outer_function():
+    # 1 / (0.8 + z) has its pole at -0.8, inside each disk about -0.8 + 0.1i
+    # or -0.75 + 0.1i of radius 0.2; a test that samples the disk at fixed
+    # points finds the pole only where a point lands within CUT_BUFFER of it
+    domain = stem_compose(catalog("pow:-1"), catalog("poly:[0.8, 1.0]")).domain
+    for center in (-0.8 + 0.1j, -0.75 + 0.1j, -0.75 - 0.1j):
+        assert domain.holds_disk(center, 0.2) is False
+    assert domain.holds_disk(-0.8 + 0.3j, 0.2) is True
+
+
+# outer functions with a cut or a pole after inner functions that map
+# some spectral points near it
+COMPOSITIONS = [("log", "poly:[2.0, 0.3, 0.5]"), ("sqrt", "poly:[1.5, 0.0, 0.4]"),
+                ("pow:-1", "poly:[0.8, 1.0]"), ("log", "exp")]
+
+
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("outer, inner", COMPOSITIONS,
+                         ids=[f"{g}o{f}" for g, f in COMPOSITIONS])
+def test_a_composition_matches_the_outer_function_of_the_inner_result(outer, inner,
+                                                                       method):
+    g, f = catalog(outer), catalog(inner)
+    for seed in range(900, 940):
+        A = _planted_draw(rng(seed), "generic")
+        got = calculus_intrinsic(A, stem_compose(g, f), method=method)
+        want = calculus_intrinsic(calculus_intrinsic(A, f, method=method), g,
+                                  method=method)
+        assert got.distance(want) <= 1e-8 * want.norm, seed

@@ -380,10 +380,28 @@ def test_radius_power_zero_matrix():
     assert s_spectral_radius(QMatrix.zeros(2), "power") == 0.0
 
 
-def test_radius_power_refuses_a_norm_that_overflows():
-    # an infinite ||A||_F would scale A to zero and read as a radius of 0.0
-    with pytest.raises(NoConvergence, match="norm inf"):
-        s_spectral_radius(QMatrix.diag([1e200]), "power")
+def test_radius_power_answers_where_the_norm_overflows():
+    # ||A||_F reads inf at 1e200; the estimate runs at a power-of-two
+    # scale, so it neither refuses nor reads a radius of 0.0
+    for values, want in (([1e200], 1e200), ([1e200, 2e200 * I], 2e200)):
+        got = s_spectral_radius(QMatrix.diag(values), "power")
+        assert abs(got - want) <= 0.01 * want
+    # a radius of 3.4e308 is no float
+    A = QMatrix.from_components(np.full((2, 2), 1.7e308), *np.zeros((3, 2, 2)))
+    with pytest.raises(NoConvergence, match="overflows"):
+        s_spectral_radius(A, "power")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(1000)
+@example(-1000)
+def test_radius_power_scales_with_powers_of_two(k):
+    # at 2^+-600 and beyond ||A||_F reads inf or 0
+    A = random_qmatrix(rng(37), 3)
+    r = s_spectral_radius(A, "power")
+    got = s_spectral_radius(A * math.ldexp(1.0, k), "power")
+    assert abs(got - math.ldexp(r, k)) <= 0.01 * math.ldexp(r, k)
 
 
 def test_radius_power_tracks_eig():

@@ -235,20 +235,15 @@ def _product(x1, y1, x2, y2, mul=np.matmul):
             mul(y1, x2) + mul(x1.conjugate(), y2))
 
 
-def _row_times(row, x, y, side: str):
-    """First block row of chi(P (x + j y)), or of chi((x + j y) P) on the left.
-
-    row is the first block row [p, -conj(q)] of chi(P) for P = p + j q.
-    On the right the scalar acts blockwise as chi(x + j y); on the left
-    the second block row [q, conj(p)] of chi(P) is read off the first.
-    """
+def _row_parts(row):
+    """x, y of x + j y from the first block row [x, -conj(y)] of its chi."""
     n = row.shape[0]
-    r1, r2 = row[:, :n], row[:, n:]
-    if side == "right":
-        return np.concatenate((r1 * x + r2 * y, r2 * x.conjugate() - r1 * y.conjugate()),
-                              axis=1)
-    return x * row + y.conjugate() * np.concatenate((r2.conjugate(), -r1.conjugate()),
-                                                    axis=1)
+    return row[:, :n], -row[:, n:].conjugate()
+
+
+def _row(x, y):
+    """The first block row [x, -conj(y)] of chi(x + j y), as _row_parts reads it."""
+    return np.concatenate((x, -y.conjugate()), axis=1)
 
 
 def _vector_split(xs, n=None):

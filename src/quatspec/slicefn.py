@@ -459,10 +459,12 @@ def _is_real_list(x, length: int | None = None) -> bool:
 
 
 def _punctured_domain(points) -> AxSymDomain:
-    """The box (-4, 4, 4) minus disks of radius CUT_BUFFER around points.
+    """The plane minus disks of radius CUT_BUFFER around points.
 
-    A centre on or above the axis is nearer to each hole above the axis
-    than to its mirror, so only the upper holes are measured.
+    The disk test ignores the box (-4, 4, 4), which only bounds the
+    validation sampling.  A centre on or above the axis is nearer to
+    each hole above the axis than to its mirror, so only the upper holes
+    are measured.
     """
     holes = np.array([complex(p.real, abs(p.imag)) for p in points], dtype=complex)
 

@@ -34,7 +34,8 @@ from .operators import (
     QMatrix,
     _embed,
     _product,
-    _row_times,
+    _row,
+    _row_parts,
     _split,
     complex_adjoint,
     from_complex_adjoint,
@@ -285,77 +286,57 @@ def _frobenius(M: np.ndarray) -> float:
     return math.sqrt(np.vdot(M, M).real)
 
 
-def _power_series(A: QMatrix, coefficients, tol: float = SERIES_TOL) -> QMatrix:
-    """Sum of A^n c_n over real c_0, c_1, ..., one term per step.
+def _summed(sums, scale: float, tol: float = SERIES_TOL) -> QMatrix:
+    """scale times the sum of a series, the one loop every series runs.
 
-    The Taylor loop of op_exp, whose coefficients have no product rule
-    for _doubling.  It carries A^n as the first block row
-    [x_n, -conj(y_n)] of chi(A^n), an n x 2n complex array that one
-    product with chi(A) advances, and keeps the sum in the same layout;
-    a row's Frobenius norm is that of its matrix.  The loop stops once
-    two consecutive terms are within tol * (1 + ||sum||) together, and
-    raises NoConvergence at the first non-finite term or at
-    SERIES_TERM_CAP terms.
+    sums yields pairs (N, S_N): a term count N, rising, and the first
+    block row of chi(S_N), the sum of terms 0 to N - 1 at unit scale.
+    N doubles where a product rule sums a level in one matrix product,
+    and steps by one on op_exp's Taylor series.  The first block is S_1,
+    finite by construction; each later one is S_N' - S_N.  The loop
+    stops once the last two blocks are within tol * (1 + ||S_N'||)
+    together.  Where the terms shrink like r^n, the tail after a doubled
+    sum S_2N is about r^N times the last block, far below either block
+    at the stop.  A block that is not finite, a sum past SERIES_TERM_CAP
+    terms and a scaled sum that is not finite raise NoConvergence.
     """
-    n = A.n
-    step = complex_adjoint(A)
-    total = np.zeros((n, 2 * n), dtype=complex)
-    last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        row = np.eye(n, 2 * n, dtype=complex)
-        for k, c in enumerate(itertools.islice(coefficients, SERIES_TERM_CAP)):
-            term = c * row
-            total += term
-            size = _frobenius(term)
-            if not math.isfinite(size):
-                raise NoConvergence(f"series term {k} is not finite")
-            if last + size <= tol * (1.0 + _frobenius(total)):
-                return QMatrix(total[:, :n], -total[:, n:].conjugate())
-            last = size
-            row = row @ step
-    raise NoConvergence("series hit the term cap")
-
-
-def _chi(row: np.ndarray) -> np.ndarray:
-    """chi(X) rebuilt from its first block row [x, -conj(y)]."""
-    n = row.shape[0]
-    return _embed(row[:, :n], -row[:, n:].conjugate())
-
-
-def _doubling(sums, scale: float) -> QMatrix:
-    """scale times the sum of a series from its partial sums S_1, S_2, S_4, ...
-
-    sums yields each S_N as the first block row of chi(S_N), at unit
-    scale, one matrix product per level, so N terms cost about log2 N
-    products.  The loop stops once the last two blocks, S_N - S_(N/2)
-    and S_2N - S_N, are within SERIES_TOL * (1 + ||S_2N||) together.
-    Where the terms shrink like r^n, the tail after S_2N is about r^N
-    times the last block, far below either block at the stop.  A block
-    that is not finite, a level that would pass SERIES_TERM_CAP terms and
-    a scaled sum that is not finite raise NoConvergence.
-    """
-    last = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, terms = next(sums), 1
-        while 2 * terms <= SERIES_TERM_CAP:
-            partial = next(sums)
+        terms, total = next(sums)
+        last = _frobenius(total)
+        for count, partial in sums:
+            if count > SERIES_TERM_CAP:
+                break
             size = _frobenius(partial - total)
             if not math.isfinite(size):
                 raise NoConvergence(
-                    f"series block of terms {terms} to {2 * terms - 1} is not finite")
-            total, terms = partial, 2 * terms
-            if last + size <= SERIES_TOL * (1.0 + _frobenius(total)):
+                    f"series block of terms {terms} to {count - 1} is not finite")
+            total, terms = partial, count
+            if last + size <= tol * (1.0 + _frobenius(total)):
                 total = total * scale
                 if not np.isfinite(total).all():
                     raise NoConvergence(f"the series sum times {scale:.6g} overflows")
-                n = total.shape[0]
-                return QMatrix(total[:, :n], -total[:, n:].conjugate())
+                return QMatrix(*_row_parts(total))
             last = size
     raise NoConvergence("series hit the term cap")
 
 
+def _power_series(A: QMatrix, coefficients, tol: float = SERIES_TOL) -> QMatrix:
+    """Sum of A^n c_n over real c_0, c_1, ..., by the one series loop _summed.
+
+    op_exp's Taylor series has no product rule for doubling, so this
+    only generates its partial sums, one term apart.  A^n is carried as
+    the first block row [x_n, -conj(y_n)] of chi(A^n), an n x 2n complex
+    array that one product with chi(A) advances; a row's Frobenius norm
+    is that of its matrix.
+    """
+    rows = itertools.accumulate(itertools.repeat(complex_adjoint(A)), np.matmul,
+                                initial=np.eye(A.n, 2 * A.n, dtype=complex))
+    partials = itertools.accumulate(c * row for c, row in zip(coefficients, rows))
+    return _summed(enumerate(partials, 1), 1.0, tol)
+
+
 def _neumann_sums(A: QMatrix, c: float):
-    """Rows of S_N = sum_(n<N) U_n(c) A^n for N = 1, 2, 4, ...
+    """(N, row of S_N) for S_N = sum_(n<N) U_n(c) A^n, N = 1, 2, 4, ...
 
     U_n are the Chebyshev polynomials of the second kind.  With
     T_N = sum_(n<N) U_(n-1) A^n and P_N = A^N, the rule
@@ -373,49 +354,55 @@ def _neumann_sums(A: QMatrix, c: float):
     T = np.zeros_like(S)
     P = complex_adjoint(A)[:n]
     u = (2.0 * c, 1.0, 0.0)  # U_N, U_(N-1), U_(N-2) at N = 1
-    while True:
-        yield S
+    for level in itertools.count():
+        yield 1 << level, S
         uN, u1, u2 = u
-        stack = np.concatenate((uN * S - u1 * T, u1 * S - u2 * T, P)) @ _chi(P)
+        stack = np.concatenate((uN * S - u1 * T, u1 * S - u2 * T, P)) @ _embed(*_row_parts(P))
         S, T, P = S + stack[:n], T + stack[n:2 * n], stack[2 * n:]
         u = (uN * uN - u1 * u1, uN * u1 - u1 * u2, u1 * u1 - u2 * u2)
 
 
 def _resolvent_sums(A: QMatrix, sigma, side: str):
-    """Rows of S_N = sum_(n<N) A^n sigma^(n+1) (side L) or
-    sum_(n<N) sigma^(n+1) A^n (side R) for N = 1, 2, 4, ...
+    """(N, row of S_N) for S_N = sum_(n<N) A^n sigma^(n+1) (side L) or
+    sum_(n<N) sigma^(n+1) A^n (side R), N = 1, 2, 4, ...
 
     sigma is a split pair.  Right scalars associate, so with P_N = A^N
     the next block is P_N S_N sigma^N on side L, one product of P_N's
     row with [chi(S_N) | chi(P_N)], and sigma^N S_N P_N on side R, one
     product of the stacked rows of S_N and P_N with chi(P_N).  Each
-    product also gives P_2N, and sigma^N is squared once per level.
+    product also gives P_2N; sigma^N scales the block through _product,
+    and is squared once per level.
     """
     n = A.n
-    edge = "right" if side == "L" else "left"
-    S = _row_times(np.eye(n, 2 * n, dtype=complex), *sigma, edge)
+
+    def times_sigma(row):
+        x, y = _row_parts(row)
+        return _row(*(_product(x, y, *sigma, operator.mul) if side == "L"
+                      else _product(*sigma, x, y, operator.mul)))
+
+    S = times_sigma(np.eye(n, 2 * n, dtype=complex))
     P = complex_adjoint(A)[:n]
-    while True:
-        yield S
+    for level in itertools.count():
+        yield 1 << level, S
         if side == "L":
-            stack = P @ np.concatenate((_chi(S), _chi(P)), axis=1)
+            stack = P @ np.concatenate([_embed(*_row_parts(X)) for X in (S, P)], axis=1)
             block, P = stack[:, :2 * n], stack[:, 2 * n:]
         else:
-            stack = np.concatenate((S, P)) @ _chi(P)
+            stack = np.concatenate((S, P)) @ _embed(*_row_parts(P))
             block, P = stack[:n], stack[n:]
-        S = S + _row_times(block, *sigma, edge)
+        S = S + times_sigma(block)
         sigma = _product(*sigma, *sigma, operator.mul)
 
 
 def _past_cap(rate: float) -> bool:
-    """Whether terms shrinking like rate^n, 0 <= rate < 1, pass _doubling's reach.
+    """Whether terms shrinking like rate^n, 0 <= rate < 1, pass _summed's reach.
 
-    Its last level L, the largest power of two within SERIES_TERM_CAP,
-    returns only once the block of terms m = L/4 to L/2 is small against
-    the sum: about rate^m (1 + m (1 - rate)) <= SERIES_TOL where the
-    terms grow like n rate^n, as the Neumann terms at a real q do, and
-    less where they shrink like rate^n.  The rule asks the former, so it
-    refuses rates past about 1 - 31 / 2^17.
+    On a doubled series its last level L, the largest power of two
+    within SERIES_TERM_CAP, returns only once the block of terms m = L/4
+    to L/2 is small against the sum: about rate^m (1 + m (1 - rate)) <=
+    SERIES_TOL where the terms grow like n rate^n, as the Neumann terms
+    at a real q do, and less where they shrink like rate^n.  The rule
+    asks the former, so it refuses rates past about 1 - 31 / 2^17.
     """
     m = max(1, (1 << SERIES_TERM_CAP.bit_length()) >> 3)
     return rate > 0.0 and (math.log(rate) * m + math.log1p(m * (1.0 - rate))
@@ -439,7 +426,7 @@ def _neumann_pencil_inverse(A: QMatrix, q: Quaternion) -> QMatrix:
         raise NoConvergence(f"|q| / r_S = {rho / rad:.12g} would pass the term cap")
     # Q_q(A)^-1 = rho^-2 sum_n U_n(c) (A / rho)^n with c = Re(q) / rho
     inv = _reciprocal(rho, "|q|")
-    return _doubling(_neumann_sums(A * inv, q.real / rho), inv / rho)
+    return _summed(_neumann_sums(A * inv, q.real / rho), inv / rho)
 
 
 def _checked_inverse(M: np.ndarray, floor: float, what: str) -> QMatrix:
@@ -503,7 +490,7 @@ def s_resolvent(A: QMatrix, s, side: str = "L",
         raise NoConvergence(f"|s| = {rho:.12g} is too near r_S: past the term cap")
     # L_A(s) = rho^-1 L_(A/rho)(s/rho), and R likewise
     inv = _reciprocal(rho, "|s|")
-    return _doubling(_resolvent_sums(A * inv, _split((s / rho).inverse()), side), inv)
+    return _summed(_resolvent_sums(A * inv, _split((s / rho).inverse()), side), inv)
 
 
 class Classification(NamedTuple):

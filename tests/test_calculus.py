@@ -444,6 +444,18 @@ def test_riesz_dunford_stalls_on_near_pole(route):
         ROUTES[route](A, lambda z: 1.0 / (z - pole), contour)
 
 
+def test_riesz_dunford_refuses_a_first_pass_of_six_nodes():
+    contour = SliceContour((Circle(0j, 1.0),))
+    with pytest.raises(ValueError, match="multiple of 4"):
+        riesz_dunford(np.eye(2), np.exp, contour, nodes=6)
+
+
+def test_an_inverse_past_the_node_bound_is_a_singular_node():
+    # LAPACK inverts 1e-15, but 1e15 passes the bound of 1e14 on the inverse
+    with pytest.raises(SingularNode, match="blew up"):
+        qcalc._checked_solve(np.array([[[1e-15]]], dtype=complex), "the resolvent")
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
 def test_riesz_dunford_refuses_a_matrix_that_is_not_square(shape):
     contour = SliceContour((Circle(0j, 1.0),))
@@ -1277,6 +1289,20 @@ def test_calculus_of_a_defective_block(k, lam):
         got = calculus_sided(A, catalog("exp"), method=method)
         assert got.distance(want) <= 1e-12 * want.norm, method
     assert op_exp(op_log(A)).distance(A) <= 1e-10 * A.norm
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, StructureViolation),
+                   reason="an entire function takes one circle of radius "
+                   "0.45 (1 + x), over which e^z varies by e^(2r): roundoff near "
+                   "eps e^r swamps the answer and the stop rule settles on it")
+@pytest.mark.parametrize("method", ["complex_path", "s_contour"])
+@pytest.mark.parametrize("x", [50.0, 100.0])
+def test_calculus_exp_of_a_large_eigenvalue(x, method):
+    # 2e-7 relative at x = 50; at x = 100 complex_path raises
+    # StructureViolation and s_contour is off by a factor of 6.6e3
+    got = calculus_intrinsic(QMatrix.diag([x]), catalog("exp"), method)
+    want = math.exp(x)
+    assert_quat_close(got.entry(0, 0), Quaternion(want), 1e-9 * want)
 
 
 def test_exp_refuses_a_norm_that_overflows():

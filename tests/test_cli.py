@@ -70,6 +70,7 @@ def test_parse_rejects_nan_entry():
     '{"n": 1, "entries": [[[0, 0, 0]]]}',
     '{"n": 1, "entries": [[[0, "x", 0, 0]]]}',
     '{"n": 1, "entries": [[[0, true, 0, 0]]]}',
+    '{"n": 1, "entries": 5}',
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
@@ -467,7 +468,11 @@ def test_exit_one_on_bad_arguments(capsys):
     (("root", "--n", "-2"), "UsageError"),
     (("distance", "--alpha", "nan"), "NonFiniteEntry"),
     (("distance", "--alpha", "inf"), "NonFiniteEntry"),
-], ids=["root-n-0", "root-n-minus-2", "alpha-nan", "alpha-inf"])
+    (("pencil-inverse", "--at", "1,2,3"), "ParseError"),
+    (("pencil-inverse", "--at", "1,x,0,0"), "ParseError"),
+    (("resolvent", "--at", "1,inf,0,0"), "NonFiniteEntry"),
+], ids=["root-n-0", "root-n-minus-2", "alpha-nan", "alpha-inf",
+        "at-three-parts", "at-not-a-number", "at-inf"])
 def test_exit_one_on_bad_argument_values(tmp_path, capsys, argv, error):
     path = write_matrix(tmp_path, "two.json",
                         QMatrix.from_entries([[Quaternion(2.0)]]))

@@ -265,6 +265,12 @@ def test_stem_product_requires_an_intrinsic_factor():
         stem_product(f, g)
 
 
+def test_stem_sum_refuses_a_left_and_a_right_function():
+    a = json.dumps([[0.0, 1.0, 0.0, 0.0], 1])
+    with pytest.raises(NotIntrinsic):
+        stem_sum(catalog("monoL:" + a), catalog("monoR:" + a))
+
+
 def test_stem_compose():
     gen = rng(307)
     inner = catalog("poly:[0.2, 0, 0.4]")
@@ -318,7 +324,8 @@ def test_catalog_rejects_malformed_names():
     for bad in ("nope", "poly:", "poly:[1", "pow:x", "monoL:[1,2]",
                 "ratpoly:[1]", "poly:[1, \"a\"]", "poly:[true, 1]",
                 "ratpoly:[1, false]/[1]", "ratpoly:[1]/[true]",
-                "monoL:[[1, 0, 0, 0], true]", "monoR:[[1, 0, false, 0], 2]"):
+                "monoL:[[1, 0, 0, 0], true]", "monoR:[[1, 0, false, 0], 2]",
+                "ratpoly:[1]/[0, 0]"):
         with pytest.raises(ParseError):
             catalog(bad)
 

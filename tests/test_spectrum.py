@@ -19,6 +19,7 @@ from quatspec import (
     NoConvergence,
     NonFiniteEntry,
     ONE,
+    OddRealMultiplicity,
     QMatrix,
     Quaternion,
     SeriesDiverges,
@@ -270,6 +271,19 @@ def test_s_spectrum_two_spheres():
         assert abs(re) < 1e-10 and abs(imn - want_im) < 1e-10
 
 
+@pytest.mark.xfail(strict=True, raises=OddRealMultiplicity,
+                   reason="a Jordan block's computed eigenvalues spread by about "
+                   "eps^(1/k), far beyond the clustering radius, so the conjugate "
+                   "pairing of the clusters breaks")
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, 1.0])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("seed", [1000, 1001])
+def test_s_spectrum_of_a_defective_block_is_one_sphere(seed, k, lam):
+    spheres = s_spectrum(_planted_jordan(rng(seed), k, lam))
+    assert len(spheres.spheres) == 1
+    assert spheres.spheres[0][1] == k
+
+
 def test_s_spectrum_multiset_invariants():
     gen = rng(23)
     for _ in range(N_DRAWS):
@@ -378,6 +392,12 @@ def test_radius_examples():
 
 def test_radius_power_zero_matrix():
     assert s_spectral_radius(QMatrix.zeros(2), "power") == 0.0
+
+
+def test_radius_power_of_a_nilpotent_matrix():
+    # A^2 = 0: the first squaring leaves no norm to renormalise by
+    A = QMatrix.from_entries([[0.0, 1.0], [0.0, 0.0]])
+    assert s_spectral_radius(A, "power") == 0.0
 
 
 def test_radius_power_answers_where_the_norm_overflows():
@@ -570,10 +590,10 @@ def test_series_raise_no_convergence_at_the_term_cap(monkeypatch):
 
 
 def test_series_stop_at_the_first_non_finite_term():
-    # an infinite coefficient ends the shared loop at once; its 0 * inf
-    # entries stay silent (RuntimeWarnings fail the suite)
+    # an infinite coefficient ends the shared loop at once, one term
+    # apart; its 0 * inf entries stay silent (RuntimeWarnings fail the suite)
     coefficients = itertools.chain([1.0, math.inf], itertools.repeat(1.0))
-    with pytest.raises(NoConvergence, match="series term 1 is not finite"):
+    with pytest.raises(NoConvergence, match="block of terms 1 to 1 is not finite"):
         qspec._power_series(QMatrix.identity(2) * 0.5, coefficients)
 
 
@@ -592,12 +612,12 @@ def test_doubling_raises_before_a_level_passes_the_term_cap(monkeypatch):
 
 
 def test_doubling_stops_at_the_first_non_finite_block():
-    # inf - inf in the block stays silent (RuntimeWarnings fail the suite)
+    # the one loop reads (terms, partial sum) pairs; inf - inf in the
+    # block stays silent (RuntimeWarnings fail the suite)
     row = np.eye(2, 4, dtype=complex)
-    sums = itertools.chain([row, 2 * row, np.full_like(row, math.inf)],
-                           itertools.repeat(row))
+    sums = zip((1, 2, 4, 8), (row, 2 * row, np.full_like(row, math.inf), row))
     with pytest.raises(NoConvergence, match="block of terms 2 to 3 is not finite"):
-        qspec._doubling(sums, 1.0)
+        qspec._summed(sums, 1.0)
 
 
 def test_series_loop_raises_at_the_term_cap(monkeypatch):
@@ -811,7 +831,7 @@ def test_hopeless_series_are_refused_up_front():
 
 @pytest.mark.parametrize("kind", ["L", "R", "neumann"])
 def test_series_near_the_radius_answer_or_are_refused_up_front(kind):
-    # _doubling returns at 2^19 terms at most, once the block of terms
+    # _summed returns at 2^19 terms at most, once the block of terms
     # 2^17 to 2^18 is small; a rate it cannot reach is refused before any
     # sum, never after 19 levels at the term cap.  At a real q the Neumann
     # terms grow like n r^n, the slowest case.
